@@ -24,8 +24,7 @@ COMPARISONS = {
 
 def eval_arith(p, bindings) -> int:
     """Evaluate an arithmetic expression pattern to an integer."""
-    if isinstance(p, Int):
-        return p.value
+    # tested in order of frequency: variables, then operators, then literals
     if isinstance(p, Var):
         t = bindings.get(p.name)
         if isinstance(t, Int):
@@ -34,11 +33,14 @@ def eval_arith(p, bindings) -> int:
             t = substitute(p, bindings)  # raises the unbound-variable error
         raise ArithmeticTypeError(f"arithmetic on non-integer {term_to_str(t)}")
     if isinstance(p, Compound):
-        if p.functor == "-" and len(p.args) == 1:
+        if len(p.args) == 2:
+            op = _BINOPS.get(p.functor)
+            if op is not None:
+                return op(eval_arith(p.args[0], bindings), eval_arith(p.args[1], bindings))
+        elif p.functor == "-" and len(p.args) == 1:
             return -eval_arith(p.args[0], bindings)
-        op = _BINOPS.get(p.functor)
-        if op is not None and len(p.args) == 2:
-            return op(eval_arith(p.args[0], bindings), eval_arith(p.args[1], bindings))
+    elif isinstance(p, Int):
+        return p.value
     raise ArithmeticTypeError(f"not an arithmetic expression: {pattern_to_str(p)}")
 
 

@@ -8,20 +8,32 @@ a table claims true, applies the immediate-consequence step, and
 aggregates the result back into a table.
 
 The chain of tables is forced upward by joining each step's output
-onto the running table. On programs where greedy is sound this
-computes the same answers as the reference; on others (that is the
-point of the checker) it settles somewhere else or converges where
-the reference diverges.
+onto the running table: t' = t ⊔ α(T(γ(t))). On programs where greedy
+is sound this computes the same answers as the reference; on others
+(that is the point of the checker) it settles somewhere else or
+converges where the reference diverges.
+
+The loop is semi-naive. T has no negation, so it is monotone in the
+atom set, and a firing that reads only atoms already in the previous
+γ(t) was aggregated into t by the previous step. Each step therefore
+fires only the rules that read at least one atom the last step added,
+and joins what they derive onto the keys it touches. The table and an
+index over γ(t) are updated in place; when a key's value moves, its
+old atom leaves the index, so a subsumed answer never fires again.
+The chain of tables and the step count are those of the naive loop
+(`greedy_step` joined onto the table until it is stable), which the
+tests keep as the oracle.
 """
 
 from __future__ import annotations
 
 from .lattice import (
+    AnswerTable,
     aggregate_atoms,
     build_specs,
     empty_table,
+    join_values,
     table_atoms,
-    table_join,
 )
 from .program import Program, fact_clause
 from .reference import (
@@ -29,6 +41,8 @@ from .reference import (
     EvalOutcome,
     FixpointResult,
     StratumResult,
+    _AtomIndex,
+    _fire_delta,
     immediate_step,
 )
 from .stratify import stratify, stratum_clauses
@@ -47,21 +61,38 @@ def greedy_fixpoint(clauses, specs, fuel, trace=None) -> FixpointResult:
     loop forces an upward chain by construction. `trace` collects every
     table along the run for the checker's trace strategy.
     """
-    table = empty_table()
+    entries = {}
+    idx = _AtomIndex()  # the atoms of the current table
+    delta = None        # the atoms the last step added; None before the first
     if trace is not None:
-        trace.append(table)
+        trace.append(empty_table())
     steps = 0
     while steps < fuel:
-        nxt = table_join(specs, (table, greedy_step(clauses, specs, table)))
+        derived = set()
+        # idx as the "old" index too: γ(t) is not monotone, and firings
+        # that read two delta atoms are merely found twice
+        _fire_delta(clauses, idx, derived, delta, idx)
         steps += 1
-        if nxt == table:
-            return FixpointResult(True, table, steps)
-        table = nxt
+        delta = []
+        for key, value in aggregate_atoms(specs, derived).entries.items():
+            spec = specs[key[0]]
+            old = entries.get(key)
+            if old is not None:
+                value = join_values(spec.lattice, old, value)
+                if value == old:
+                    continue
+                idx.discard(spec.atom_of(key, old))
+            entries[key] = value
+            atom = spec.atom_of(key, value)
+            idx.add(atom)
+            delta.append(atom)
+        if not delta:
+            return FixpointResult(True, AnswerTable(entries), steps)
         if trace is not None:
-            trace.append(table)
-        if len(table.entries) > fuel:
-            return FixpointResult(False, table, steps)
-    return FixpointResult(False, table, steps)
+            trace.append(AnswerTable(dict(entries)))
+        if len(entries) > fuel:
+            break
+    return FixpointResult(False, AnswerTable(entries), steps)
 
 
 def stratified_greedy_semantics(program: Program, fuel=DEFAULT_FUEL,
@@ -74,6 +105,7 @@ def stratified_greedy_semantics(program: Program, fuel=DEFAULT_FUEL,
     """
     specs = build_specs(program)
     lower = frozenset()
+    table = empty_table()
     results = []
     total = 0
     for preds in stratify(program).strata:
@@ -89,7 +121,8 @@ def stratified_greedy_semantics(program: Program, fuel=DEFAULT_FUEL,
         if not fp.converged:
             results.append(StratumResult(names, atoms, fp.steps, False))
             return EvalOutcome(False, atoms, fp.value, total, tuple(results), names)
-        lower = atoms
+        # the lower strata's answers came in as facts, so this table
+        # already holds every answer so far
+        lower, table = atoms, fp.value
         results.append(StratumResult(names, lower, fp.steps, True))
-    return EvalOutcome(True, lower, aggregate_atoms(specs, lower),
-                       total, tuple(results), None)
+    return EvalOutcome(True, lower, table, total, tuple(results), None)

@@ -17,9 +17,10 @@ Kinds:
                  ground facts), join is union followed by pruning of
                  dominated elements
   user join      a binary join given as ground facts name(X, Y, Z), or
-                 one of the builtin arithmetic joins min/max/plus;
-                 semilattice laws are checked lazily on the values
-                 actually joined
+                 one of the builtin arithmetic joins min/max; a fact
+                 table is checked when the lattice is built to be
+                 functional, commutative, idempotent and associative
+                 wherever it is defined
   extended nat   integers plus the absorbing top `infty`, join is max
   discrete       the set lattice over a unit element; used for untabled
                  (and plainly tabled) predicates so answers never subsume
@@ -217,7 +218,6 @@ def _require_int(name, term):
 _BUILTIN_JOINS = {
     "min": lambda a, b: Int(min(a, b)),
     "max": lambda a, b: Int(max(a, b)),
-    "plus": lambda a, b: Int(a + b),
 }
 
 
@@ -246,27 +246,43 @@ class UserJoinLattice(LatticeSpec):
                     raise LatticeLawViolationError(
                         f"join {self.name} is not idempotent on {term_to_str(x)}")
         object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_probed", set())
+        # the builtin joins, min and max, return one of their operands
+        object.__setattr__(self, "selective", self.rows is None)
+        if self.rows is not None:
+            self._check_associative()
 
-    def _apply_builtin(self, a, b):
-        fn = _BUILTIN_JOINS[self.name]
-        av, bv = _require_int(self.name, a), _require_int(self.name, b)
-        for v in (av, bv):
-            if v not in self._probed:
-                if fn(v, v) != Int(v):
-                    raise LatticeLawViolationError(
-                        f"builtin join {self.name} is not idempotent on {v}")
-                self._probed.add(v)
-        return fn(av, bv)
-
-    def join_terms(self, a, b):
+    def _lookup(self, a, b):
+        """The join of two carrier terms, or None where it is undefined."""
         if a == b:
             return a
-        if self.rows is None:
-            return self._apply_builtin(a, b)
         z = self._table.get((a, b))
-        if z is None:
-            z = self._table.get((b, a))
+        return self._table.get((b, a)) if z is None else z
+
+    def _check_associative(self):
+        # sorted, so that the triple named in the error is reproducible
+        carrier = term_sorted({t for row in self.rows for t in row})
+        for x in carrier:
+            for y in carrier:
+                xy = self._lookup(x, y)
+                if xy is None:
+                    continue
+                for z in carrier:
+                    yz = self._lookup(y, z)
+                    if yz is None:
+                        continue
+                    left, right = self._lookup(xy, z), self._lookup(x, yz)
+                    if left is not None and right is not None and left != right:
+                        raise LatticeLawViolationError(
+                            f"join {self.name} is not associative on "
+                            f"({term_to_str(x)}, {term_to_str(y)}, {term_to_str(z)})")
+
+    def join_terms(self, a, b):
+        if self.rows is None:
+            if a == b:
+                return a
+            fn = _BUILTIN_JOINS[self.name]
+            return fn(_require_int(self.name, a), _require_int(self.name, b))
+        z = self._lookup(a, b)
         if z is None:
             raise JoinUndefinedError(self.name, term_to_str(a), term_to_str(b))
         return z

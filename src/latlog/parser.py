@@ -13,7 +13,8 @@ Predicates named by lattice/po modes must be defined by ground facts
 (they are extracted into the program's join/order relations and do not
 take part in evaluation) or name a builtin arithmetic join. Clauses are
 checked for range restriction: every variable in a head or builtin must
-be bound by an earlier call, or by an earlier `is` output.
+be bound by an earlier call, or by an earlier `is` output. No term may
+nest more than MAX_TERM_DEPTH lists, compounds or operators deep.
 """
 
 from __future__ import annotations
@@ -36,7 +37,11 @@ from .program import (
 )
 from .terms import Compound, Int, ListTerm, Symbol, term_key, term_to_str
 
-BUILTIN_JOIN_NAMES = frozenset({"min", "max", "plus", "max_inf"})
+BUILTIN_JOIN_NAMES = frozenset({"min", "max", "max_inf"})
+# Deeper terms are refused: the engines compare and hash terms
+# recursively, and Python's recursion limit gives out a few hundred
+# levels down.
+MAX_TERM_DEPTH = 100
 _REJECTED_MODES = frozenset({"first", "last", "sum"})
 _SIMPLE_MODES = {"index": INDEX, "nt": INDEX, "min": Mode("min"),
                  "max": Mode("max"), "all": Mode("all")}
@@ -81,10 +86,33 @@ def _tokenize(text):
     return toks
 
 
+def _term_depth(term):
+    """How many lists and compounds nest in a term, counted iteratively."""
+    depth = 0
+    stack = [(term, 0)]
+    while stack:
+        t, d = stack.pop()
+        if isinstance(t, Compound):
+            children = t.args
+        elif isinstance(t, ListTerm):
+            children = t.elements
+        else:
+            continue
+        d += 1
+        depth = max(depth, d)
+        stack.extend((c, d) for c in children)
+    return depth
+
+
+def _too_deep(tok):
+    return ParseError(f"term nested deeper than {MAX_TERM_DEPTH} levels", tok.line, tok.col)
+
+
 class _Parser:
     def __init__(self, text):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.open = 0  # expressions and prefix minuses the parser is inside
 
     def peek(self):
         return self.toks[self.pos]
@@ -115,6 +143,9 @@ class _Parser:
     # --- terms and expressions ---------------------------------------
 
     def expr(self):
+        return self.deeper(self._expr)
+
+    def _expr(self):
         t = self.mul_expr()
         while self.at_punct("+") or self.at_punct("-"):
             op = self.next().value
@@ -128,6 +159,20 @@ class _Parser:
             t = Compound("*", (t, self.primary()))
         return t
 
+    def deeper(self, parse):
+        """Run `parse` one level down. The parser recurses once per
+        level, so this bounds the nesting before it can exhaust the
+        Python stack; `literal` checks the exact depth of the result.
+        The two spare levels are the literal itself and its predicate
+        call."""
+        if self.open > MAX_TERM_DEPTH + 1:
+            raise _too_deep(self.peek())
+        self.open += 1
+        try:
+            return parse()
+        finally:
+            self.open -= 1
+
     def primary(self):
         tok = self.peek()
         if tok.kind == "int":
@@ -139,7 +184,7 @@ class _Parser:
             if nxt.kind == "int":
                 self.next()
                 return Int(-int(nxt.value))
-            return Compound("-", (self.primary(),))
+            return Compound("-", (self.deeper(self.primary),))
         if tok.kind == "var":
             self.next()
             return Var(tok.value)
@@ -176,6 +221,12 @@ class _Parser:
 
     def literal(self):
         tok = self.peek()
+        lit = self._literal(tok)
+        if any(_term_depth(a) > MAX_TERM_DEPTH for a in lit.args):
+            raise _too_deep(tok)
+        return lit
+
+    def _literal(self, tok):
         lhs = self.expr()
         nxt = self.peek()
         if nxt.kind == "ident" and nxt.value == "is":
@@ -372,6 +423,10 @@ def _extract_relations(clauses, directives):
         if not own:
             if arity == 3 and name in BUILTIN_JOIN_NAMES:
                 continue
+            if arity == 3 and name == "plus":
+                raise UnsupportedModeError(
+                    "builtin join plus is not idempotent and is not supported; "
+                    "define plus/3 by facts")
             raise ParseError(f"relation {name}/{arity} is not defined by facts")
         rows = set()
         for c in own:

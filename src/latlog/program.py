@@ -148,7 +148,13 @@ def match(pattern, term, bindings):
 def match_seq(patterns, terms, bindings):
     out = dict(bindings)
     for p, t in zip(patterns, terms):
-        if not _bind(p, t, out):
+        if isinstance(p, Var):  # the common case, inlined from _bind
+            bound = out.get(p.name)
+            if bound is None:
+                out[p.name] = t
+            elif bound != t:
+                return None
+        elif not _bind(p, t, out):
             return None
     return out
 

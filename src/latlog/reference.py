@@ -86,6 +86,12 @@ class _AtomIndex:
         for i, t in enumerate(atom.args):
             self.by_arg.setdefault((atom.pred, i, t), set()).add(atom)
 
+    def discard(self, atom):
+        """Forget an indexed atom, so it can no longer fire anything."""
+        self.by_pred[atom.pred].discard(atom)
+        for i, t in enumerate(atom.args):
+            self.by_arg[(atom.pred, i, t)].discard(atom)
+
     def candidates(self, call, bindings):
         """The smallest bucket consistent with the call's ground arguments."""
         best = self.by_pred.get(call.pred)
@@ -118,11 +124,12 @@ def _fire_clause(clause, idx, derived, delta_idx=None, pivot=None, old_idx=None)
     body = clause.body
     head = clause.head
     n = len(body)
+    heads = set()  # argument tuples; many firings derive the same head
 
     def walk(i, bindings):
         if i == n:
-            derived.add(Atom(head.pred,
-                             tuple([substitute(a, bindings) for a in head.args])))
+            heads.add(tuple([bindings[a.name] if isinstance(a, Var) and a.name in bindings
+                             else substitute(a, bindings) for a in head.args]))
             return
         lit = body[i]
         if isinstance(lit, Call):
@@ -143,14 +150,34 @@ def _fire_clause(clause, idx, derived, delta_idx=None, pivot=None, old_idx=None)
                 walk(i + 1, nb)
 
     walk(0, {})
+    derived.update(Atom(head.pred, args) for args in heads)
+
+
+def _fire_delta(clauses, idx, derived, delta=None, old_idx=None):
+    """Add to `derived` the firings over `idx` that read an atom of `delta`.
+
+    Without a delta, every firing over `idx`. With one, each call
+    literal that can match a delta atom is the pivot in turn, reading
+    the delta, with `old_idx` before it and `idx` after it (see
+    `_fire_clause`). When `old_idx` still holds the delta, a firing
+    that reads several delta atoms is found once per such atom, which
+    the set absorbs.
+    """
+    if delta is None:
+        for c in clauses:
+            _fire_clause(c, idx, derived)
+        return
+    delta_idx = _AtomIndex(delta)
+    for c in clauses:
+        for j, lit in enumerate(c.body):
+            if isinstance(lit, Call) and lit.pred in delta_idx.by_pred:
+                _fire_clause(c, idx, derived, delta_idx, j, old_idx)
 
 
 def immediate_step(clauses, atoms) -> frozenset:
     """One application of the immediate-consequence step."""
-    idx = _AtomIndex(atoms)
     derived = set()
-    for c in clauses:
-        _fire_clause(c, idx, derived)
+    _fire_delta(clauses, _AtomIndex(atoms), derived)
     return frozenset(derived)
 
 
@@ -264,15 +291,7 @@ def _stratum_lfp_delta(clauses, specs, fuel) -> FixpointResult:
 
     while steps < fuel:
         derived = set()
-        if delta is None:
-            for c in clauses:
-                _fire_clause(c, idx, derived)
-        else:
-            delta_idx = _AtomIndex(delta)
-            for c in clauses:
-                for j, lit in enumerate(c.body):
-                    if isinstance(lit, Call) and lit.pred in delta_idx.by_pred:
-                        _fire_clause(c, idx, derived, delta_idx, j, old_idx)
+        _fire_delta(clauses, idx, derived, delta, old_idx)
         tp_delta = derived - tp
         tp |= tp_delta
 

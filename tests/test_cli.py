@@ -9,6 +9,7 @@ import pytest
 from conftest import CORPUS, GOLDEN
 from golden_cases import CASES, resolved_argv
 from latlog.cli import main
+from latlog.parser import MAX_TERM_DEPTH
 
 
 def run(capsys, *argv):
@@ -152,11 +153,56 @@ def test_rejected_mode_is_a_program_error(capsys, tmp_path):
     assert "sum" in data["detail"]
 
 
-def test_non_idempotent_builtin_join_is_a_lattice_error(capsys, tmp_path):
+def test_builtin_plus_join_is_an_unsupported_mode(capsys, tmp_path):
     f = write(tmp_path, ":- table p(lattice(plus/3)).\np(1).\np(2).\n")
     code, out, _ = run(capsys, "eval", f, "--json")
-    assert code == 4
-    assert json.loads(out)["kind"] == "lattice-law"
+    assert code == 3
+    data = json.loads(out)
+    assert data["kind"] == "unsupported-mode"
+    assert "plus" in data["detail"]
+
+
+def test_non_associative_user_join_is_a_lattice_error(capsys, tmp_path):
+    # a v (b v c) = a but (a v b) v c = c: only the fold order would
+    # decide the answer
+    f = write(tmp_path, "j(a,b,a). j(b,c,b). j(a,c,c).\n"
+                        ":- table p(lattice(j/3)).\np(a). p(b). p(c).\n")
+    for command in ("eval", "check", "diff"):
+        code, out, _ = run(capsys, command, f, "--json")
+        assert code == 4
+        data = json.loads(out)
+        assert data["kind"] == "lattice-law"
+        assert data["detail"] == "join j is not associative on (a, b, c)"
+
+
+def _nested_fact(depth):
+    return "p(" + "[" * depth + "a" + "]" * depth + ").\n"
+
+
+def test_term_at_the_nesting_bound_runs_everywhere(capsys, tmp_path):
+    f = write(tmp_path, ":- table p(all).\n" + _nested_fact(MAX_TERM_DEPTH))
+    for argv in (("eval",), ("eval", "--engine", "reference"), ("check",),
+                 ("check", "--strategy", "trace"), ("diff",), ("strata",)):
+        code, _, err = run(capsys, argv[0], f, *argv[1:])
+        assert (code, err) == (0, ""), argv
+
+
+@pytest.mark.parametrize("depth", [MAX_TERM_DEPTH + 1, 3000])
+def test_term_nested_too_deep_is_a_parse_error(depth, capsys, tmp_path):
+    f = write(tmp_path, _nested_fact(depth))
+    code, out, err = run(capsys, "eval", f)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: term nested deeper than 100 levels")
+
+
+def test_deep_nesting_exits_without_a_traceback(tmp_path):
+    f = write(tmp_path, _nested_fact(3000))
+    proc = subprocess.run([sys.executable, "-m", "latlog.cli", "eval", f],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_partial_join_relation_is_a_lattice_error(capsys, tmp_path):

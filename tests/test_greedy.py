@@ -1,5 +1,10 @@
 """Greedy evaluation: per-step subsumption and its consequences."""
 
+import random
+
+import pytest
+
+from conftest import CORPUS_FILES
 from latlog.greedy import greedy_fixpoint, greedy_step, stratified_greedy_semantics
 from latlog.lattice import (
     DUMMY,
@@ -8,10 +13,21 @@ from latlog.lattice import (
     aggregate_atoms,
     build_specs,
     empty_table,
+    table_atoms,
+    table_join,
     table_leq,
 )
-from latlog.reference import immediate_step, stratified_reference_semantics
-from latlog.terms import Atom, Int, Symbol
+from latlog.parser import parse_program
+from latlog.program import fact_clause
+from latlog.reference import (
+    EvalOutcome,
+    FixpointResult,
+    StratumResult,
+    immediate_step,
+    stratified_reference_semantics,
+)
+from latlog.stratify import stratify, stratum_clauses
+from latlog.terms import Atom, Int, Symbol, atom_sorted
 
 
 def test_step_of_the_empty_table_aggregates_the_facts(programs):
@@ -116,3 +132,113 @@ def test_trace_sink_collects_one_chain_per_stratum(programs):
         assert tables[0].is_empty
         assert len(tables) >= 1
         assert clauses
+
+
+# --- the semi-naive loop against the naive one -------------------------------
+
+
+def naive_greedy_fixpoint(clauses, specs, fuel, trace):
+    """The definition: join a whole greedy step onto the table until stable."""
+    table = empty_table()
+    trace.append(table)
+    steps = 0
+    while steps < fuel:
+        nxt = table_join(specs, (table, greedy_step(clauses, specs, table)))
+        steps += 1
+        if nxt == table:
+            return FixpointResult(True, table, steps)
+        table = nxt
+        trace.append(table)
+        if len(table.entries) > fuel:
+            return FixpointResult(False, table, steps)
+    return FixpointResult(False, table, steps)
+
+
+def naive_greedy_semantics(program, fuel, trace_sink):
+    specs = build_specs(program)
+    lower = frozenset()
+    results = []
+    total = 0
+    for preds in stratify(program).strata:
+        clauses = stratum_clauses(program, preds) + tuple(
+            fact_clause(a) for a in atom_sorted(lower))
+        trace = []
+        fp = naive_greedy_fixpoint(clauses, specs, fuel, trace)
+        trace_sink.append((clauses, tuple(trace)))
+        total += fp.steps
+        names = tuple(sorted(preds))
+        atoms = table_atoms(specs, fp.value)
+        if not fp.converged:
+            results.append(StratumResult(names, atoms, fp.steps, False))
+            return EvalOutcome(False, atoms, fp.value, total, tuple(results), names)
+        lower = atoms
+        results.append(StratumResult(names, lower, fp.steps, True))
+    return EvalOutcome(True, lower, aggregate_atoms(specs, lower),
+                       total, tuple(results), None)
+
+
+def assert_same_run(program, fuel):
+    fast_sink, slow_sink = [], []
+    fast = stratified_greedy_semantics(program, fuel, trace_sink=fast_sink)
+    slow = naive_greedy_semantics(program, fuel, slow_sink)
+    # per stratum: the clauses, the chain of tables, steps and convergence
+    assert fast_sink == slow_sink
+    assert fast.strata == slow.strata
+    assert (fast.converged, fast.steps, fast.diverged_stratum) == (
+        slow.converged, slow.steps, slow.diverged_stratum)
+    assert fast.answers == slow.answers
+    assert fast.table.entries == slow.table.entries
+    return fast
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+@pytest.mark.parametrize("fuel", [4, 50])
+def test_semi_naive_loop_matches_the_naive_one_on_the_corpus(name, fuel, programs):
+    out = assert_same_run(programs[name], fuel)
+    if name == "longest_path.pl" and fuel == 50:
+        assert not out.converged
+
+
+_LABELS = ("lo", "mid", "hi", "alt")
+
+# (table directive and extra facts, rules) per lattice. The rules that
+# call p twice have firings whose newest atom is not the first call's;
+# the ones that read a singleton stop firing once a join grows it, so
+# answers that greedy drops as subsumed must not fire again.
+_DAG_PROGRAMS = {
+    "min": (":- table p(index,index,min).",
+            "p(X,Y,1) :- e(X,Y,L).\n"
+            "p(X,Y,D) :- p(X,Z,D1), p(Z,Y,D2), D is D1+D2.\n"),
+    "minmax": (":- table p(index,index,min,max).",
+               "p(X,Y,1,1) :- e(X,Y,L).\n"
+               "p(X,Y,D,M) :- p(X,Z,D1,M1), e(Z,Y,L), D is D1+1, M is M1+1.\n"),
+    "all": (":- table p(index,index,all).",
+            "p(X,Y,X) :- e(X,Y,L).\n"
+            "p(X,Y,Z) :- p(X,Z,W), p(Z,Y,V).\n"
+            "one(X,Y,Z) :- p(X,Y,[Z]).\n"),
+    "po": (":- table p(index,index,po(better/2)).\n"
+           "better(lo,mid). better(mid,hi). better(lo,hi). better(lo,alt).",
+           "p(X,Y,L) :- e(X,Y,L).\n"
+           "p(X,Y,L) :- p(X,Z,[L]), p(Z,Y,M).\n"
+           "p(X,Y,L) :- p(X,Z,W), e(Z,Y,L).\n"),
+}
+
+
+def random_dag_program(lattice, seed):
+    """A chain of nodes plus random forward edges, each with a label."""
+    rng = random.Random(f"{lattice}:{seed}")
+    size = rng.randint(6, 12)
+    edges = {(i, i + 1) for i in range(size - 1)}
+    while len(edges) < 2 * size:
+        i, j = sorted(rng.sample(range(size), 2))
+        edges.add((i, j))
+    header, rules = _DAG_PROGRAMS[lattice]
+    facts = "".join(f"e(n{i},n{j},{rng.choice(_LABELS)}).\n" for i, j in sorted(edges))
+    return parse_program(f"{header}\n{facts}{rules}")
+
+
+@pytest.mark.parametrize("lattice", sorted(_DAG_PROGRAMS))
+@pytest.mark.parametrize("seed", range(3))
+def test_semi_naive_loop_matches_the_naive_one_on_random_dags(lattice, seed):
+    out = assert_same_run(random_dag_program(lattice, seed), 10000)
+    assert out.converged

@@ -110,14 +110,11 @@ def test_user_join_law_validation():
         UserJoinLattice("j", frozenset({(a, b, c), (b, a, d)}))
     with pytest.raises(LatticeLawViolationError, match="idempotent"):
         UserJoinLattice("j", frozenset({(a, a, b)}))
-
-
-def test_builtin_plus_fails_lazy_idempotence_probe():
-    spec = UserJoinLattice("plus", None)
-    # equal operands short-circuit, so nothing is probed yet
-    assert spec.join_terms(Int(0), Int(0)) == Int(0)
-    with pytest.raises(LatticeLawViolationError, match="idempotent"):
-        spec.join_terms(Int(1), Int(2))
+    with pytest.raises(LatticeLawViolationError,
+                       match=r"not associative on \(a, b, c\)"):
+        UserJoinLattice("j", frozenset({(a, b, a), (b, c, b), (a, c, c)}))
+    # (a v b) v c = d, but a v (b v c) = a v d is undefined: not a violation
+    UserJoinLattice("j", frozenset({(a, b, b), (a, c, c), (b, c, d)}))
 
 
 def test_builtin_min_join_needs_integers():
@@ -125,6 +122,13 @@ def test_builtin_min_join_needs_integers():
     assert spec.join_terms(Int(4), Int(2)) == Int(2)
     with pytest.raises(DomainError):
         spec.join_terms(Int(1), a)
+
+
+def test_only_builtin_user_joins_are_selective():
+    # min and max return an operand, so closing a set under them adds nothing
+    assert UserJoinLattice("min", None).selective
+    assert UserJoinLattice("max", None).selective
+    assert not UserJoinLattice("j", frozenset({(a, b, c)})).selective
 
 
 # --- order -------------------------------------------------------------

@@ -95,6 +95,15 @@ def test_order_sensitive_modes_rejected(mode):
         parse_program(f":- table p({mode}).\np(1).\n")
 
 
+def test_builtin_plus_join_rejected_at_parse_time():
+    for ref in ("plus/3", "+/3"):
+        with pytest.raises(UnsupportedModeError, match="plus is not idempotent"):
+            parse_program(f":- table p(lattice({ref})).\np(1).\n")
+    # a plus/3 defined by facts is an ordinary join table
+    prog = parse_program(":- table p(lattice(plus/3)).\nplus(a,b,b).\np(a).\np(b).\n")
+    assert prog.join_relations["plus"] == frozenset({(Symbol("a"), Symbol("b"), Symbol("b"))})
+
+
 def test_conflicting_directives_rejected():
     with pytest.raises(ParseError, match="conflicting"):
         parse_program(":- table p(min).\n:- table p(max).\np(1).\n")
