@@ -10,10 +10,8 @@ from .checker import (
     DiffReport,
     UniverseResult,
     atom_universe,
-    check_fusion_condition,
     check_greedy_soundness,
     diff_semantics,
-    recompute_sides,
 )
 from .errors import (
     ArithmeticTypeError,
@@ -72,11 +70,11 @@ __all__ = [
     "PredSpec", "Program", "RangeRestrictionError", "Stratification",
     "StratumResult", "Symbol", "UniverseResult", "UnsupportedModeError",
     "aggregate_atoms", "aggregate_model", "atom_sorted", "atom_to_str",
-    "atom_universe", "build_specs", "check_fusion_condition",
+    "atom_universe", "build_specs",
     "check_greedy_soundness", "close_answer_groups", "diff_semantics",
     "empty_table", "greedy_fixpoint", "greedy_step", "immediate_step",
     "join_extended_step", "join_values", "kleene_fixpoint", "leq_values",
-    "parse_program", "program_to_text", "recompute_sides", "singleton_table",
+    "parse_program", "program_to_text", "singleton_table",
     "stratified_greedy_semantics", "stratified_reference_semantics",
     "stratify", "table_atoms", "table_join", "table_leq", "value_to_str",
 ]

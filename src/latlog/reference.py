@@ -217,20 +217,21 @@ def close_answer_groups(specs, atoms, budget) -> frozenset:
 
     The result keeps the original atoms and adds one atom per
     join-created value, so join consequences become visible to the
-    next immediate step.
+    next immediate step. Groups under a selective lattice cannot gain
+    a value and are skipped. When no group gains one, the result is
+    `atoms` itself.
     """
     groups = {}
     for atom in atoms:
         spec = specs[atom.pred]
-        groups.setdefault(spec.key_of(atom), set()).add(spec.abstract_atom(atom))
-    out = set(atoms)
+        if not spec.lattice.selective:
+            groups.setdefault(spec.key_of(atom), set()).add(spec.abstract_atom(atom))
+    added = set()
     for key, values in groups.items():
         spec = specs[key[0]]
-        closed = set()
-        added = _close_group(spec, closed, values, budget)
-        for v in added:
-            out.add(spec.atom_of(key, v))
-    return frozenset(out)
+        for v in _close_group(spec, set(), values, budget):
+            added.add(spec.atom_of(key, v))
+    return frozenset(atoms).union(added) if added else atoms
 
 
 def join_extended_step(clauses, specs, atoms, budget) -> frozenset:

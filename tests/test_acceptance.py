@@ -13,7 +13,7 @@ import subprocess
 import sys
 import time
 
-from conftest import CORPUS
+from conftest import CORPUS, recompute_sides
 from latlog import cli
 from latlog.checker import (
     NO_VIOLATION,
@@ -21,7 +21,6 @@ from latlog.checker import (
     CheckStrategy,
     check_greedy_soundness,
     diff_semantics,
-    recompute_sides,
 )
 from latlog.greedy import stratified_greedy_semantics
 from latlog.lattice import DUMMY, SetVal, TermVal, build_specs

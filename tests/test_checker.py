@@ -2,18 +2,24 @@
 
 import pytest
 
-from conftest import CORPUS_FILES, load
+from conftest import (
+    CORPUS_FILES,
+    DAG_PROGRAMS,
+    load,
+    random_dag_program,
+    recompute_sides,
+)
+from latlog import checker
 from latlog.checker import (
     INCONCLUSIVE,
     NO_VIOLATION,
     VIOLATION,
     CheckStrategy,
     atom_universe,
-    check_fusion_condition,
     check_greedy_soundness,
     diff_semantics,
-    recompute_sides,
 )
+from latlog.errors import LatlogError
 from latlog.lattice import TermVal
 from latlog.parser import parse_program
 from latlog.terms import Atom, Int, Symbol
@@ -109,7 +115,7 @@ def test_subsumption_leaking_across_predicates_is_caught(programs):
 def test_sampled_violation_on_even_odd(programs):
     report = check_greedy_soundness(programs["even_odd.pl"], SAMPLED, fuel=300)
     assert report.verdict == VIOLATION
-    lhs, rhs = recompute_sides(programs["even_odd.pl"], report.witness, fuel=300)
+    lhs, rhs = recompute_sides(programs["even_odd.pl"], report.witness, 300)
     assert (lhs.entries, rhs.entries) == (report.lhs.entries, report.rhs.entries)
     assert lhs.entries != rhs.entries
 
@@ -129,7 +135,7 @@ def test_sampled_clean_pass(programs):
 def test_trace_catches_the_max_program(programs):
     report = check_greedy_soundness(programs["unsound_max.pl"], TRACE, fuel=100)
     assert report.verdict == VIOLATION
-    lhs, rhs = recompute_sides(programs["unsound_max.pl"], report.witness, fuel=100)
+    lhs, rhs = recompute_sides(programs["unsound_max.pl"], report.witness, 100)
     assert lhs.entries != rhs.entries
 
 
@@ -144,25 +150,14 @@ def test_trace_only_visits_the_run_itself(programs):
     assert 0 < report.tested < 20
 
 
-# --- the fusion variant ----------------------------------------------------
-
-
-def test_fusion_and_soundness_agree_everywhere(programs):
-    # same right side, and the two left sides are equal by the internal
-    # identity, so the verdicts can never differ
-    for name in CORPUS_FILES:
-        a = check_greedy_soundness(programs[name], EXHAUSTIVE, fuel=60)
-        b = check_fusion_condition(programs[name], EXHAUSTIVE, fuel=60)
-        assert (a.verdict, a.witness) == (b.verdict, b.witness), name
-        assert a.condition == "step-commutation"
-        assert b.condition == "step-fusion"
+# --- violations on join-created atoms ---------------------------------------
 
 
 def test_fusion_violation_on_the_join_created_atom(programs):
     # at X = {p(a), p(b)} the left side aggregates to c but the
     # collapsed right side reaches p(d) through p(c): the condition
     # fails even though both engines happen to agree on this program
-    report = check_fusion_condition(programs["lub_lattice.pl"], EXHAUSTIVE, fuel=100)
+    report = check_greedy_soundness(programs["lub_lattice.pl"], EXHAUSTIVE, fuel=100)
     assert report.verdict == VIOLATION
     assert report.witness == p_atoms("a", "b")
     assert report.lhs.entries == {("p", ()): TermVal(Symbol("c"))}
@@ -171,9 +166,82 @@ def test_fusion_violation_on_the_join_created_atom(programs):
 
 
 def test_fusion_violation_on_the_max_program(programs):
-    report = check_fusion_condition(programs["unsound_max.pl"], EXHAUSTIVE, fuel=100)
+    report = check_greedy_soundness(programs["unsound_max.pl"], EXHAUSTIVE, fuel=100)
     assert report.verdict == VIOLATION
     assert report.witness == p_atoms(0, 1)
+
+
+# --- every tested subset against the oracle ---------------------------------
+
+
+def tiny_dag_program(lattice):
+    """The rules of a random DAG program on a three-node graph, small
+    enough for an exhaustive check."""
+    header, rules = DAG_PROGRAMS[lattice]
+    facts = "e(n0,n1,lo). e(n1,n2,mid). e(n0,n2,hi).\n"
+    return parse_program(f"{header}\n{facts}{rules}")
+
+
+# p(a,foo) makes the q rule raise, but only on subsets that hold it;
+# with the a/1 rules, a witness comes before any such subset
+ARITH_ERROR = """:- table p(index,min). :- table q(max).
+p(a,1). p(a,foo). q(X) :- p(a,Y), X is Y+1.
+"""
+LAZY_ERROR = ARITH_ERROR + """:- table a(max).
+a(0). a(1). a(2) :- a(X), X >= 1. a(3) :- a(X), X = 0.
+"""
+
+
+def _oracle_programs():
+    yield from ((name, lambda name=name: load(name)) for name in CORPUS_FILES)
+    yield "arith-error", lambda: parse_program(ARITH_ERROR)
+    yield "lazy-error", lambda: parse_program(LAZY_ERROR)
+    for lattice in sorted(DAG_PROGRAMS):
+        yield f"tiny-{lattice}", lambda lattice=lattice: tiny_dag_program(lattice)
+        for seed in range(3):
+            yield (f"dag-{lattice}-{seed}",
+                   lambda lattice=lattice, seed=seed: random_dag_program(lattice, seed))
+
+
+ORACLE_PROGRAMS = dict(_oracle_programs())
+ORACLE_STRATEGIES = {
+    "exhaustive": EXHAUSTIVE,
+    "trace": TRACE,
+    "sampled": CheckStrategy("sampled", samples=200, seed=7),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(ORACLE_STRATEGIES))
+@pytest.mark.parametrize("name", sorted(ORACLE_PROGRAMS))
+def test_every_tested_subset_matches_the_oracle(name, strategy, monkeypatch):
+    program = ORACLE_PROGRAMS[name]()
+    seen = []  # (subset, its sides or the type of the error raised there)
+    compare = checker._compare
+
+    def spy(x, *args):
+        try:
+            sides = compare(x, *args)
+        except Exception as exc:
+            seen.append((x, type(exc)))
+            raise
+        seen.append((x, sides))
+        return sides
+
+    monkeypatch.setattr(checker, "_compare", spy)
+    try:
+        report = check_greedy_soundness(program, ORACLE_STRATEGIES[strategy], 60)
+    except LatlogError:
+        report = None
+    for x, got in seen:
+        if isinstance(got, type):
+            with pytest.raises(got):
+                recompute_sides(program, x, 60)
+        else:
+            assert recompute_sides(program, x, 60) == got, sorted(map(str, x))
+    if report is not None:
+        assert report.tested == sum(not isinstance(got, type) for _, got in seen)
+    if name.startswith("tiny-"):  # small enough that every strategy compares
+        assert seen
 
 
 # --- the differ -------------------------------------------------------------
@@ -214,6 +282,6 @@ def test_every_violation_witness_reverifies(programs):
             report = check_greedy_soundness(programs[name], strategy, fuel=60)
             if report.verdict != VIOLATION:
                 continue
-            lhs, rhs = recompute_sides(programs[name], report.witness, fuel=60)
+            lhs, rhs = recompute_sides(programs[name], report.witness, 60)
             assert lhs.entries == report.lhs.entries, name
             assert rhs.entries == report.rhs.entries, name

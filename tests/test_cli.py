@@ -224,6 +224,48 @@ def test_arithmetic_on_symbols_is_a_program_error(capsys, tmp_path):
     assert json.loads(out)["kind"] == "arithmetic-type"
 
 
+def test_join_closure_over_fuel_is_inconclusive(capsys, tmp_path):
+    # the (min, max) join of the three facts creates values, and the
+    # closure of the first tested step outgrows fuel 4
+    f = write(tmp_path, ":- table p(index,min,max).\np(a,1,1). p(a,2,5). p(a,3,2).\n")
+    reason = "the join closure of the step on subset 1 outgrew fuel 4"
+    for strategy in ("trace", "sampled"):
+        code, out, err = run(capsys, "check", f, "--strategy", strategy, "--fuel", "4")
+        assert (code, err) == (2, "")
+        assert "verdict: inconclusive\ntested: 0\n" in out
+        assert out.endswith(f"reason: {reason}\n")
+        code, out, _ = run(capsys, "check", f, "--strategy", strategy, "--fuel", "4", "--json")
+        assert code == 2
+        data = json.loads(out)
+        assert (data["verdict"], data["tested"], data["reason"]) == ("inconclusive", 0, reason)
+    for fuel in ("1", "2", "3"):
+        code, out, _ = run(capsys, "check", f, "--strategy", "sampled", "--fuel", fuel)
+        assert code == 2
+        assert out.endswith(f"outgrew fuel {fuel}\n")
+
+
+_ERR = (":- table p(index,min). :- table q(max).\n"
+        "p(a,1). p(a,foo). q(X) :- p(a,Y), X is Y+1.\n")
+
+
+def test_arithmetic_error_in_a_tested_step_is_a_program_error(capsys, tmp_path):
+    f = write(tmp_path, _ERR)
+    for strategy in ("exhaustive", "trace", "sampled"):
+        code, out, err = run(capsys, "check", f, "--strategy", strategy)
+        assert (code, out) == (3, ""), strategy
+        assert err == "error: arithmetic on non-integer foo\n"
+
+
+def test_an_arithmetic_error_no_subset_reaches_before_the_witness(capsys, tmp_path):
+    # the exhaustive enumeration finds the a/1 witness at subset 4,
+    # before any subset holds p(a,foo); the error must not surface
+    f = write(tmp_path, _ERR + ":- table a(max).\n"
+                               "a(0). a(1). a(2) :- a(X), X >= 1. a(3) :- a(X), X = 0.\n")
+    code, out, err = run(capsys, "check", f)
+    assert (code, err) == (1, "")
+    assert "verdict: violation\ntested: 4\nwitness: a(0), a(1)\n" in out
+
+
 def test_usage_errors_follow_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", corpus_path("simple.pl"), "--fuel", "0"])

@@ -1,10 +1,8 @@
 """Greedy evaluation: per-step subsumption and its consequences."""
 
-import random
-
 import pytest
 
-from conftest import CORPUS_FILES
+from conftest import CORPUS_FILES, DAG_PROGRAMS, random_dag_program
 from latlog.greedy import greedy_fixpoint, greedy_step, stratified_greedy_semantics
 from latlog.lattice import (
     DUMMY,
@@ -17,7 +15,6 @@ from latlog.lattice import (
     table_join,
     table_leq,
 )
-from latlog.parser import parse_program
 from latlog.program import fact_clause
 from latlog.reference import (
     EvalOutcome,
@@ -199,45 +196,7 @@ def test_semi_naive_loop_matches_the_naive_one_on_the_corpus(name, fuel, program
         assert not out.converged
 
 
-_LABELS = ("lo", "mid", "hi", "alt")
-
-# (table directive and extra facts, rules) per lattice. The rules that
-# call p twice have firings whose newest atom is not the first call's;
-# the ones that read a singleton stop firing once a join grows it, so
-# answers that greedy drops as subsumed must not fire again.
-_DAG_PROGRAMS = {
-    "min": (":- table p(index,index,min).",
-            "p(X,Y,1) :- e(X,Y,L).\n"
-            "p(X,Y,D) :- p(X,Z,D1), p(Z,Y,D2), D is D1+D2.\n"),
-    "minmax": (":- table p(index,index,min,max).",
-               "p(X,Y,1,1) :- e(X,Y,L).\n"
-               "p(X,Y,D,M) :- p(X,Z,D1,M1), e(Z,Y,L), D is D1+1, M is M1+1.\n"),
-    "all": (":- table p(index,index,all).",
-            "p(X,Y,X) :- e(X,Y,L).\n"
-            "p(X,Y,Z) :- p(X,Z,W), p(Z,Y,V).\n"
-            "one(X,Y,Z) :- p(X,Y,[Z]).\n"),
-    "po": (":- table p(index,index,po(better/2)).\n"
-           "better(lo,mid). better(mid,hi). better(lo,hi). better(lo,alt).",
-           "p(X,Y,L) :- e(X,Y,L).\n"
-           "p(X,Y,L) :- p(X,Z,[L]), p(Z,Y,M).\n"
-           "p(X,Y,L) :- p(X,Z,W), e(Z,Y,L).\n"),
-}
-
-
-def random_dag_program(lattice, seed):
-    """A chain of nodes plus random forward edges, each with a label."""
-    rng = random.Random(f"{lattice}:{seed}")
-    size = rng.randint(6, 12)
-    edges = {(i, i + 1) for i in range(size - 1)}
-    while len(edges) < 2 * size:
-        i, j = sorted(rng.sample(range(size), 2))
-        edges.add((i, j))
-    header, rules = _DAG_PROGRAMS[lattice]
-    facts = "".join(f"e(n{i},n{j},{rng.choice(_LABELS)}).\n" for i, j in sorted(edges))
-    return parse_program(f"{header}\n{facts}{rules}")
-
-
-@pytest.mark.parametrize("lattice", sorted(_DAG_PROGRAMS))
+@pytest.mark.parametrize("lattice", sorted(DAG_PROGRAMS))
 @pytest.mark.parametrize("seed", range(3))
 def test_semi_naive_loop_matches_the_naive_one_on_random_dags(lattice, seed):
     out = assert_same_run(random_dag_program(lattice, seed), 10000)

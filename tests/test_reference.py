@@ -116,6 +116,18 @@ def test_linear_joins_never_create_atoms(programs):
             assert close_answer_groups(specs, i, 1000) == i
 
 
+def test_closure_returns_its_input_under_selective_lattices():
+    prog = parse_program(
+        ":- table a(min). :- table b(max). :- table c(lattice(max_inf/3)).\n"
+        ":- table d(lattice(min/3)). :- table e(index).\n")
+    specs = build_specs(prog)
+    atoms = atoms_of(("a", 1), ("a", 2), ("b", "x"), ("b", "y"), ("c", 3),
+                     ("c", "infty"), ("d", 4), ("d", 5), ("e", 6))
+    for pred in "abcde":
+        assert specs[pred].lattice.selective, pred
+    assert close_answer_groups(specs, atoms, 1) is atoms
+
+
 # --- fueled iteration ------------------------------------------------------
 
 
