@@ -52,8 +52,6 @@ from .reference import (
     aggregate_model,
     close_answer_groups,
     immediate_step,
-    join_extended_step,
-    kleene_fixpoint,
     stratified_reference_semantics,
 )
 from .stratify import Stratification, stratify
@@ -73,7 +71,7 @@ __all__ = [
     "atom_universe", "build_specs",
     "check_greedy_soundness", "close_answer_groups", "diff_semantics",
     "empty_table", "greedy_fixpoint", "greedy_step", "immediate_step",
-    "join_extended_step", "join_values", "kleene_fixpoint", "leq_values",
+    "join_values", "leq_values",
     "parse_program", "program_to_text", "singleton_table",
     "stratified_greedy_semantics", "stratified_reference_semantics",
     "stratify", "table_atoms", "table_join", "table_leq", "value_to_str",

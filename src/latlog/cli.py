@@ -70,8 +70,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("eval", help="run one engine, print the answers")
     common(pe)
     pe.add_argument("--engine", choices=("reference", "greedy"), default="greedy")
-    pe.add_argument("--naive", action="store_true",
-                    help="disable the reference engine's delta evaluation")
 
     pc = sub.add_parser("check", help="test the greedy soundness condition")
     common(pc, strategy=True)
@@ -153,8 +151,7 @@ def _emit(lines):
 
 def _cmd_eval(args, program):
     if args.engine == "reference":
-        outcome = stratified_reference_semantics(program, args.fuel,
-                                                 semi_naive=not args.naive)
+        outcome = stratified_reference_semantics(program, args.fuel)
     else:
         outcome = stratified_greedy_semantics(program, args.fuel)
     if args.json:

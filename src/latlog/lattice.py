@@ -20,7 +20,9 @@ Kinds:
                  one of the builtin arithmetic joins min/max; a fact
                  table is checked when the lattice is built to be
                  functional, commutative, idempotent and associative
-                 wherever it is defined
+                 wherever it is defined; only a table defined on every
+                 pair of its carrier is total, and lets answers be
+                 folded in any order
   extended nat   integers plus the absorbing top `infty`, join is max
   discrete       the set lattice over a unit element; used for untabled
                  (and plainly tabled) predicates so answers never subsume
@@ -36,6 +38,7 @@ from dataclasses import dataclass
 from .errors import (
     DomainError,
     JoinUndefinedError,
+    LatlogError,
     LatticeLawViolationError,
 )
 from .program import Mode, Program
@@ -101,6 +104,12 @@ class LatticeSpec:
     # a selective join always returns one of its operands (or an
     # already-absorbed top), so closing a set under it adds nothing
     selective = False
+    # a total join is defined on every pair of values that can arise,
+    # so with the join laws every fold order gives the same result
+    total = True
+    # a selective lattice whose abstraction rejects some terms; the
+    # reference fixpoint skips abstracting the atoms of the others
+    checks_domain = False
 
     def join(self, x, y):
         raise NotImplementedError
@@ -248,8 +257,7 @@ class UserJoinLattice(LatticeSpec):
         object.__setattr__(self, "_table", table)
         # the builtin joins, min and max, return one of their operands
         object.__setattr__(self, "selective", self.rows is None)
-        if self.rows is not None:
-            self._check_associative()
+        object.__setattr__(self, "total", self.rows is None or self._check_associative())
 
     def _lookup(self, a, b):
         """The join of two carrier terms, or None where it is undefined."""
@@ -259,12 +267,20 @@ class UserJoinLattice(LatticeSpec):
         return self._table.get((b, a)) if z is None else z
 
     def _check_associative(self):
+        """Raise on a triple where both bracketings are defined and differ.
+
+        Returns whether the join is defined on every pair of the
+        carrier. Triples with an undefined join are skipped, so only
+        then does the check vouch for every fold order.
+        """
         # sorted, so that the triple named in the error is reproducible
         carrier = term_sorted({t for row in self.rows for t in row})
+        total = True
         for x in carrier:
             for y in carrier:
                 xy = self._lookup(x, y)
                 if xy is None:
+                    total = False
                     continue
                 for z in carrier:
                     yz = self._lookup(y, z)
@@ -275,6 +291,7 @@ class UserJoinLattice(LatticeSpec):
                         raise LatticeLawViolationError(
                             f"join {self.name} is not associative on "
                             f"({term_to_str(x)}, {term_to_str(y)}, {term_to_str(z)})")
+        return total
 
     def join_terms(self, a, b):
         if self.rows is None:
@@ -302,6 +319,7 @@ class ExtendedNatLattice(LatticeSpec):
 
     kind = "extnat"
     selective = True
+    checks_domain = True
 
     def join(self, x, y):
         if isinstance(x, InfVal) or isinstance(y, InfVal):
@@ -332,6 +350,10 @@ class ProductLattice(LatticeSpec):
     parts: tuple
 
     kind = "product"
+
+    @property
+    def total(self):
+        return all(p.total for p in self.parts)
 
     def join(self, x, y):
         return ProductVal(tuple(
@@ -531,16 +553,34 @@ def table_atoms(specs, table: AnswerTable) -> frozenset:
     return frozenset(out)
 
 
-def aggregate_atoms(specs, atoms) -> AnswerTable:
-    """Fold a set of atoms into one table, joining collisions per key."""
+def _fold(specs, atoms):
     entries = {}
-    for atom in atom_sorted(atoms):
+    for atom in atoms:
         spec = _spec_for(specs, atom.pred)
         key = spec.key_of(atom)
         value = spec.abstract_atom(atom)
         old = entries.get(key)
         entries[key] = value if old is None else join_values(spec.lattice, old, value)
     return AnswerTable(entries)
+
+
+def aggregate_atoms(specs, atoms) -> AnswerTable:
+    """Fold a set of atoms into one table, joining collisions per key.
+
+    Lattices are checked for the join laws when they are built, so the
+    fold may take the atoms in whatever order they come. Two cases
+    still fold in the total atom order. An error is raised again by the
+    sorted fold, so its message names the same atoms on every run. And
+    a user join table that leaves some pair undefined can fail in one
+    order and succeed in another, so under one the fold is sorted from
+    the start.
+    """
+    if all(spec.lattice.total for spec in specs.values()):
+        try:
+            return _fold(specs, atoms)
+        except LatlogError:
+            pass
+    return _fold(specs, atom_sorted(atoms))
 
 
 def table_join(specs, tables) -> AnswerTable:

@@ -19,10 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .builtins import eval_builtin
+from .errors import DomainError
 from .lattice import (
     AnswerTable,
     aggregate_atoms,
     build_specs,
+    empty_table,
     join_values,
     table_atoms,
 )
@@ -66,37 +68,58 @@ class EvalOutcome:
 
 
 class _AtomIndex:
-    """Atoms by predicate, and by (predicate, position, argument).
+    """Atoms by predicate, and by their arguments at bound positions.
 
-    The positional buckets let a call literal whose argument is already
-    ground scan only the atoms that agree on it, instead of the whole
-    predicate extension.
+    A call literal whose arguments are partly ground needs only the
+    atoms that agree with it there. For each predicate and tuple of
+    bound positions that some lookup asks for, one hash index maps the
+    tuple of the arguments at those positions to the atoms that carry
+    them, in the manner of Souffle's automatic index selection (Subotic
+    et al., VLDB 2018). An index is built from the predicate's atoms on
+    its first lookup and kept current by `add` and `discard` from then
+    on, so an evaluation pays only for the indexes its rules read.
     """
 
-    __slots__ = ("by_pred", "by_arg")
+    __slots__ = ("by_pred", "by_args")
 
     def __init__(self, atoms=()):
         self.by_pred = {}
-        self.by_arg = {}
+        self.by_args = {}  # pred -> {bound positions: {their arguments: atoms}}
         for a in atoms:
             self.add(a)
 
     def add(self, atom):
-        self.by_pred.setdefault(atom.pred, set()).add(atom)
-        for i, t in enumerate(atom.args):
-            self.by_arg.setdefault((atom.pred, i, t), set()).add(atom)
+        atoms = self.by_pred.get(atom.pred)
+        if atoms is None:
+            self.by_pred[atom.pred] = {atom}
+        else:
+            atoms.add(atom)
+        indexes = self.by_args.get(atom.pred)
+        if indexes:
+            args = atom.args
+            for positions, buckets in indexes.items():
+                key = tuple([args[i] for i in positions])
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = {atom}
+                else:
+                    bucket.add(atom)
 
     def discard(self, atom):
         """Forget an indexed atom, so it can no longer fire anything."""
         self.by_pred[atom.pred].discard(atom)
-        for i, t in enumerate(atom.args):
-            self.by_arg[(atom.pred, i, t)].discard(atom)
+        args = atom.args
+        for positions, buckets in self.by_args.get(atom.pred, {}).items():
+            buckets[tuple([args[i] for i in positions])].discard(atom)
 
     def candidates(self, call, bindings):
-        """The smallest bucket consistent with the call's ground arguments."""
-        best = self.by_pred.get(call.pred)
-        if not best:
+        """The atoms that agree with the call's ground arguments, or all
+        of the predicate's atoms when none is ground."""
+        atoms = self.by_pred.get(call.pred)
+        if not atoms:
             return ()
+        positions = []
+        key = []
         for i, p in enumerate(call.args):
             if isinstance(p, Var):
                 p = bindings.get(p.name)
@@ -104,12 +127,19 @@ class _AtomIndex:
                     continue
             elif not isinstance(p, (Int, Symbol)):
                 continue  # non-atomic pattern; leave it to the matcher
-            bucket = self.by_arg.get((call.pred, i, p), ())
-            if len(bucket) < len(best):
-                best = bucket
-                if not best:
-                    break
-        return best
+            positions.append(i)
+            key.append(p)
+        if not positions:
+            return atoms
+        positions = tuple(positions)
+        indexes = self.by_args.setdefault(call.pred, {})
+        buckets = indexes.get(positions)
+        if buckets is None:
+            buckets = indexes[positions] = {}
+            for atom in atoms:
+                args = atom.args
+                buckets.setdefault(tuple([args[i] for i in positions]), set()).add(atom)
+        return buckets.get(tuple(key), ())
 
 
 def _fire_clause(clause, idx, derived, delta_idx=None, pivot=None, old_idx=None):
@@ -234,10 +264,6 @@ def close_answer_groups(specs, atoms, budget) -> frozenset:
     return frozenset(atoms).union(added) if added else atoms
 
 
-def join_extended_step(clauses, specs, atoms, budget) -> frozenset:
-    return close_answer_groups(specs, immediate_step(clauses, atoms), budget)
-
-
 def aggregate_model(specs, atoms) -> frozenset:
     """Post-processing: aggregate the atoms per answer group, then read
     the surviving atoms back out."""
@@ -247,40 +273,19 @@ def aggregate_model(specs, atoms) -> frozenset:
 # --- fueled fixpoints ------------------------------------------------------
 
 
-def kleene_fixpoint(step, start, fuel, size_of=len) -> FixpointResult:
-    """Iterate `step` from `start` until it stabilises, at most `fuel`
-    times, giving up early when the value outgrows `fuel` as well."""
-    value = start
-    steps = 0
-    while steps < fuel:
-        try:
-            nxt = step(value)
-        except _BudgetExceeded:
-            return FixpointResult(False, value, steps)
-        steps += 1
-        if nxt == value:
-            return FixpointResult(True, value, steps)
-        if size_of(nxt) > fuel:
-            return FixpointResult(False, nxt, steps)
-        value = nxt
-    return FixpointResult(False, value, steps)
+def stratum_lfp(clauses, specs, fuel) -> FixpointResult:
+    """The fueled least fixpoint of the join-extended step, computed
+    incrementally.
 
-
-def _stratum_lfp_naive(clauses, specs, fuel) -> FixpointResult:
-    # accumulating step: keeps the chain ascending even for a join that
-    # is not inflationary; identical to plain iteration for monotone steps
-    def step(x):
-        return x | join_extended_step(clauses, specs, x, fuel)
-    return kleene_fixpoint(step, frozenset(), fuel)
-
-
-def _stratum_lfp_delta(clauses, specs, fuel) -> FixpointResult:
-    """Same fixpoint as the naive loop, maintained incrementally.
-
-    The interpretation only ever grows, so each iteration needs just
-    the firings that read at least one atom of the last delta, and each
-    answer group's closure only has to absorb the new values. The chain
-    of interpretations and the step count match the naive loop exactly.
+    Iterating x := x | close(T(x)) from the empty set defines it (the
+    tests keep that naive loop as the oracle). The interpretation only
+    ever grows, so each iteration needs just the firings that read at
+    least one atom of the last delta, and each answer group's closure
+    only has to absorb the new values. A group under a selective
+    lattice cannot gain a value from the join, so its atoms skip the
+    group bookkeeping; they are only abstracted where the lattice's
+    domain can reject them. The chain of interpretations and the
+    step count match the naive loop exactly.
     """
     atoms = set()
     idx = _AtomIndex()      # everything derived so far
@@ -300,12 +305,23 @@ def _stratum_lfp_delta(clauses, specs, fuel) -> FixpointResult:
         try:
             for atom in tp_delta:
                 spec = specs[atom.pred]
+                lattice = spec.lattice
+                if lattice.selective:
+                    if lattice.checks_domain:
+                        spec.abstract_atom(atom)
+                    continue
                 key = spec.key_of(atom)
                 values = groups.setdefault(key, set())
                 for v in _close_group(spec, values, (spec.abstract_atom(atom),), fuel):
                     new_atoms.add(spec.atom_of(key, v))
         except _BudgetExceeded:
             return FixpointResult(False, frozenset(atoms), steps)
+        except DomainError:
+            # name the first rejected atom in the total order, whatever
+            # order the set gave
+            for atom in atom_sorted(tp_delta):
+                specs[atom.pred].abstract_atom(atom)
+            raise
         steps += 1
 
         fresh = new_atoms - atoms
@@ -326,33 +342,30 @@ def _stratum_lfp_delta(clauses, specs, fuel) -> FixpointResult:
 # --- stratified evaluation -------------------------------------------------
 
 
-def stratum_lfp(clauses, specs, fuel, semi_naive=True) -> FixpointResult:
-    """Fueled least fixpoint of the join-extended step over one clause set."""
-    if semi_naive:
-        return _stratum_lfp_delta(clauses, specs, fuel)
-    return _stratum_lfp_naive(clauses, specs, fuel)
-
-
-def stratified_reference_semantics(program: Program, fuel=DEFAULT_FUEL,
-                                   semi_naive=True) -> EvalOutcome:
+def stratified_reference_semantics(program: Program, fuel=DEFAULT_FUEL) -> EvalOutcome:
     """Post-processing semantics: per stratum, the fueled least fixpoint
-    of the join-extended step, aggregated once on convergence."""
+    of the join-extended step, aggregated once on convergence.
+
+    The lower strata's answers come in as facts, so each stratum's
+    table already holds every answer so far.
+    """
     specs = build_specs(program)
     lower = frozenset()
+    table = empty_table()
     results = []
     total = 0
     for preds in stratify(program).strata:
         clauses = stratum_clauses(program, preds) + tuple(
             fact_clause(a) for a in atom_sorted(lower))
-        fp = stratum_lfp(clauses, specs, fuel, semi_naive)
+        fp = stratum_lfp(clauses, specs, fuel)
         total += fp.steps
         names = tuple(sorted(preds))
         if not fp.converged:
-            partial = aggregate_model(specs, frozenset(fp.value) | lower)
+            table = aggregate_atoms(specs, frozenset(fp.value) | lower)
+            partial = table_atoms(specs, table)
             results.append(StratumResult(names, partial, fp.steps, False))
-            return EvalOutcome(False, partial, aggregate_atoms(specs, partial),
-                               total, tuple(results), names)
-        lower = aggregate_model(specs, fp.value)
+            return EvalOutcome(False, partial, table, total, tuple(results), names)
+        table = aggregate_atoms(specs, fp.value)
+        lower = table_atoms(specs, table)
         results.append(StratumResult(names, lower, fp.steps, True))
-    return EvalOutcome(True, lower, aggregate_atoms(specs, lower),
-                       total, tuple(results), None)
+    return EvalOutcome(True, lower, table, total, tuple(results), None)

@@ -4,33 +4,74 @@ The order is: integers first, then symbols, then compound terms
 (by functor, then arity, then arguments left to right), then lists
 (by length, then elements). It is deterministic and total on ground
 terms, which is all the evaluator ever compares.
+
+Terms and atoms are immutable and hashed by their fields, like frozen
+dataclasses, but each computes its hash once, when it is built, and
+keeps it: the engines hash the same atoms over and over in sets and
+index buckets, and a compound hash would otherwise recurse into every
+argument each time. Equality is the dataclass field comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Int:
     value: int
+    _hash: int = field(repr=False, compare=False)
+
+    def __init__(self, value):
+        _set(self, "value", value)
+        _set(self, "_hash", hash((value,)))
+
+    def __hash__(self):
+        return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Symbol:
     name: str
+    _hash: int = field(repr=False, compare=False)
+
+    def __init__(self, name):
+        _set(self, "name", name)
+        _set(self, "_hash", hash((name,)))
+
+    def __hash__(self):
+        return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Compound:
     functor: str
     args: tuple
+    _hash: int = field(repr=False, compare=False)
+
+    def __init__(self, functor, args):
+        _set(self, "functor", functor)
+        _set(self, "args", args)
+        _set(self, "_hash", hash((functor, args)))
+
+    def __hash__(self):
+        return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ListTerm:
     elements: tuple
+    _hash: int = field(repr=False, compare=False)
+
+    def __init__(self, elements):
+        _set(self, "elements", elements)
+        _set(self, "_hash", hash((elements,)))
+
+    def __hash__(self):
+        return self._hash
 
 
 Term = Union[Int, Symbol, Compound, ListTerm]
@@ -71,10 +112,19 @@ def term_to_str(t):
     raise TypeError(f"not a ground term: {t!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Atom:
     pred: str
     args: tuple
+    _hash: int = field(repr=False, compare=False)
+
+    def __init__(self, pred, args):
+        _set(self, "pred", pred)
+        _set(self, "args", args)
+        _set(self, "_hash", hash((pred, args)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def atom_key(a: Atom):

@@ -13,7 +13,7 @@ import subprocess
 import sys
 import time
 
-from conftest import CORPUS, recompute_sides
+from conftest import CORPUS, kleene_fixpoint, recompute_sides
 from latlog import cli
 from latlog.checker import (
     NO_VIOLATION,
@@ -27,7 +27,6 @@ from latlog.lattice import DUMMY, SetVal, TermVal, build_specs
 from latlog.reference import (
     aggregate_model,
     immediate_step,
-    kleene_fixpoint,
     stratified_reference_semantics,
     stratum_lfp,
 )

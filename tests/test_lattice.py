@@ -1,11 +1,14 @@
 """Value domains, joins, the atom/table conversions, and answer tables."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load
 from latlog.errors import (
     DomainError,
     JoinUndefinedError,
+    LatlogError,
     LatticeLawViolationError,
 )
 from latlog.lattice import (
@@ -39,7 +42,7 @@ from latlog.lattice import (
     value_to_str,
 )
 from latlog.parser import parse_program
-from latlog.terms import Atom, Int, ListTerm, Symbol
+from latlog.terms import Atom, Int, ListTerm, Symbol, atom_sorted
 
 
 def sym(*names):
@@ -129,6 +132,18 @@ def test_only_builtin_user_joins_are_selective():
     assert UserJoinLattice("min", None).selective
     assert UserJoinLattice("max", None).selective
     assert not UserJoinLattice("j", frozenset({(a, b, c)})).selective
+
+
+def test_only_a_join_table_defined_on_its_whole_carrier_is_total(lub):
+    partial = UserJoinLattice("j", frozenset({(a, b, c)}))
+    assert lub.total
+    assert UserJoinLattice("min", None).total
+    assert not partial.total
+    assert not ProductLattice((MinLattice(), partial)).total
+    assert ProductLattice((MinLattice(), lub)).total
+    for kind in (MinLattice(), MaxLattice(), AllLattice(), DiscreteLattice(),
+                 ExtendedNatLattice(), PoLattice("o", frozenset({(a, b)}))):
+        assert kind.total
 
 
 # --- order -------------------------------------------------------------
@@ -353,6 +368,72 @@ def test_sorted_items_orders_by_pred_then_inputs():
     })
     assert [k for k, _ in t.sorted_items()] == [
         ("p", (a,)), ("p", (b,)), ("q", (Int(1),))]
+
+
+# --- fold order -------------------------------------------------------------
+
+
+FOLD_SPECS = build_specs(parse_program(
+    "lub(a,b,c). lub(a,c,c). lub(a,d,d). lub(b,c,c). lub(b,d,d). lub(c,d,d).\n"
+    "better(lo,mid). better(mid,hi). better(lo,hi). better(lo,alt).\n"
+    ":- table pmin(index,min). :- table pmax(index,max).\n"
+    ":- table pall(index,all). :- table ppo(index,po(better/2)).\n"
+    ":- table pinf(index,lattice(max_inf/3)). :- table pjoin(index,lattice(lub/3)).\n"
+    ":- table pbmin(index,lattice(min/3)). :- table pprod(index,min,max).\n"
+    ":- table flat(index,index).\n"))
+
+_ints = st.integers(-2, 3).map(Int)
+_syms = st.sampled_from(sym("a", "b", "c", "d", "e", "lo", "mid", "hi", "alt", "infty"))
+_terms = st.one_of(_ints, _syms)
+_labels = st.sampled_from(sym("lo", "mid", "hi", "alt"))
+
+# the output terms each predicate can meet, a few outside its domain
+# (a symbol under max_inf or builtin min, e outside the lub carrier)
+_OUTPUTS = {
+    "pmin": st.tuples(_terms),
+    "pmax": st.tuples(_terms),
+    "pall": st.tuples(st.one_of(_terms, st.lists(_terms, max_size=3).map(
+        lambda xs: ListTerm(tuple(xs))))),
+    "ppo": st.tuples(st.one_of(_labels, st.lists(_labels, max_size=3).map(
+        lambda xs: ListTerm(tuple(xs))))),
+    "pinf": st.tuples(st.one_of(_ints, _ints, st.sampled_from(sym("infty", "foo")))),
+    "pjoin": st.tuples(st.sampled_from(sym("a", "b", "c", "d", "a", "b", "e"))),
+    "pbmin": st.tuples(st.one_of(_ints, _ints, _ints, st.just(Symbol("foo")))),
+    "pprod": st.tuples(_terms, _terms),
+    "flat": st.tuples(_syms),
+}
+
+_fold_atoms = st.lists(st.sampled_from(sorted(_OUTPUTS)).flatmap(
+    lambda pred: st.tuples(st.sampled_from(sym("k1", "k2")), _OUTPUTS[pred]).map(
+        lambda kv: Atom(pred, (kv[0],) + kv[1]))), max_size=14)
+
+
+def fold_outcome(atoms):
+    """The folded table, or the error the fold raised."""
+    try:
+        return aggregate_atoms(FOLD_SPECS, atoms).entries
+    except LatlogError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _fold_atoms)
+def test_aggregation_ignores_the_order_of_its_input(data, atoms):
+    # every lattice here is total, so the fold takes the atoms as they come
+    assert all(spec.lattice.total for spec in FOLD_SPECS.values())
+    expected = fold_outcome(atom_sorted(atoms))
+    assert fold_outcome(data.draw(st.permutations(atoms))) == expected
+    assert fold_outcome(frozenset(atoms)) == expected
+
+
+def test_a_partial_join_table_folds_in_sorted_order():
+    # b v c = a is all the table says: folding b, c, a in that order
+    # would give a, but the sorted fold meets a and b first, and they
+    # have no join
+    specs = build_specs(parse_program("j(b,c,a).\n:- table p(lattice(j/3)).\n"))
+    assert not specs["p"].lattice.total
+    with pytest.raises(JoinUndefinedError, match=r"\(a, b\)"):
+        aggregate_atoms(specs, [Atom("p", (t,)) for t in (b, c, a)])
 
 
 # --- rendering ------------------------------------------------------------

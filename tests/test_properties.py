@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import CORPUS_FILES, load
+from conftest import CORPUS_FILES, join_extended_step, load
 from latlog.greedy import greedy_step
 from latlog.lattice import (
     BOTTOM,
@@ -38,7 +38,6 @@ from latlog.reference import (
     aggregate_model,
     close_answer_groups,
     immediate_step,
-    join_extended_step,
     stratum_lfp,
 )
 from latlog.terms import Atom, Compound, Int, Symbol, atom_sorted

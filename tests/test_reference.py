@@ -4,15 +4,20 @@ from itertools import combinations
 
 import pytest
 
-from conftest import CORPUS_FILES, load
+from conftest import (
+    CORPUS_FILES,
+    DAG_PROGRAMS,
+    join_extended_step,
+    kleene_fixpoint,
+    naive_reference_semantics,
+    random_dag_program,
+)
 from latlog.lattice import build_specs, join_values, table_atoms
 from latlog.parser import parse_program
 from latlog.reference import (
     aggregate_model,
     close_answer_groups,
     immediate_step,
-    join_extended_step,
-    kleene_fixpoint,
     stratified_reference_semantics,
     stratum_lfp,
 )
@@ -253,6 +258,13 @@ def test_divergence_stops_before_later_strata(programs):
     assert all("also_odd" != a.pred for a in out.answers)
 
 
+# The seeded DAG programs cover groups under selective lattices, whose
+# atoms the delta loop passes over, next to groups it must close, and
+# rules whose calls read the index at one and at two bound positions.
+DAG_CASES = [(f"dag-{lattice}-{seed}", 10000)
+             for lattice in sorted(DAG_PROGRAMS) for seed in range(3)]
+
+
 @pytest.mark.parametrize("name,fuel", [
     ("simple.pl", 100),
     ("unsound_max.pl", 100),
@@ -263,10 +275,16 @@ def test_divergence_stops_before_later_strata(programs):
     ("even_odd.pl", 60),
     ("even_odd_also.pl", 60),
     ("longest_path.pl", 60),
-])
+] + DAG_CASES)
 def test_incremental_loop_matches_the_naive_one(name, fuel, programs):
-    fast = stratified_reference_semantics(programs[name], fuel, semi_naive=True)
-    slow = stratified_reference_semantics(programs[name], fuel, semi_naive=False)
+    if name.startswith("dag-"):
+        _, lattice, seed = name.split("-")
+        program = random_dag_program(lattice, int(seed))
+    else:
+        program = programs[name]
+    fast = stratified_reference_semantics(program, fuel)
+    slow = naive_reference_semantics(program, fuel)
+    assert [r.steps for r in fast.strata] == [r.steps for r in slow.strata]
     assert fast.converged == slow.converged
     assert fast.answers == slow.answers
     assert fast.steps == slow.steps

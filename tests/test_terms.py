@@ -86,3 +86,19 @@ def test_atom_to_str_zero_arity_prints_bare():
 def test_atom_sorted_orders_by_pred_then_args():
     atoms = [Atom("q", (Int(1),)), Atom("p", (Int(2),)), Atom("p", (Int(1),))]
     assert [atom_to_str(a) for a in atom_sorted(atoms)] == ["p(1)", "p(2)", "q(1)"]
+
+
+@given(terms())
+def test_hash_is_that_of_the_field_tuple(t):
+    # the hash a frozen dataclass would compute, so sets iterate as before
+    if isinstance(t, Int):
+        assert hash(t) == hash((t.value,))
+    elif isinstance(t, Symbol):
+        assert hash(t) == hash((t.name,))
+    elif isinstance(t, Compound):
+        assert hash(t) == hash((t.functor, t.args))
+    else:
+        assert hash(t) == hash((t.elements,))
+    atom = Atom("p", (t, Int(1)))
+    assert hash(atom) == hash(("p", (t, Int(1))))
+    assert atom == Atom("p", (t, Int(1))) and atom != Atom("q", (t, Int(1)))
