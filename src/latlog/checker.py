@@ -57,20 +57,19 @@ from functools import partial
 from .errors import InternalInconsistencyError, LatlogError, LatticeError
 from .greedy import stratified_greedy_semantics
 from .lattice import AnswerTable, aggregate_atoms, build_specs, join_values, table_atoms
-from .program import Call, Clause, Program, fact_clause
+from .program import Call, Clause, Program
 from .reference import (
     DEFAULT_FUEL,
     EvalOutcome,
     _AtomIndex,
     _BudgetExceeded,
     _fire_delta,
-    aggregate_model,
     close_answer_groups,
+    evaluate_strata,
     immediate_step,
     stratified_reference_semantics,
     stratum_lfp,
 )
-from .stratify import stratify, stratum_clauses
 from .terms import Atom, atom_sorted, atom_to_str, term_key
 
 NO_VIOLATION = "no-violation-found"
@@ -122,18 +121,17 @@ def atom_universe(program: Program, fuel=DEFAULT_FUEL, cap=16) -> UniverseResult
     union stayed within `cap`; otherwise the partial set still serves
     as a sampling pool.
     """
-    specs = build_specs(program)
     seen = set()
-    lower = frozenset()
-    for preds in stratify(program).strata:
-        clauses = stratum_clauses(program, preds) + tuple(
-            fact_clause(a) for a in atom_sorted(lower))
+
+    def collect(clauses, specs, fuel, lower):
         fp = stratum_lfp(clauses, specs, fuel)
-        seen |= fp.value
-        if not fp.converged:
-            return UniverseResult(False, frozenset(seen))
-        lower = aggregate_model(specs, fp.value)
-    return UniverseResult(len(seen) <= cap, frozenset(seen))
+        seen.update(fp.value)
+        # a stratum that ran dry is not folded: its partial model may
+        # hold values its lattice rejects, and nothing reads its answers
+        return fp, aggregate_atoms(specs, fp.value) if fp.converged else AnswerTable({})
+
+    outcome = evaluate_strata(program, fuel, collect)
+    return UniverseResult(outcome.converged and len(seen) <= cap, frozenset(seen))
 
 
 class _TableTooLarge(Exception):

@@ -23,30 +23,24 @@ old atom leaves the index, so a subsumed answer never fires again.
 The chain of tables and the step count are those of the naive loop
 (`greedy_step` joined onto the table until it is stable), which the
 tests keep as the oracle.
+
+Strata run in the reference's driver, `reference.evaluate_strata`;
+only the fixpoint differs.
 """
 
 from __future__ import annotations
 
-from .lattice import (
-    AnswerTable,
-    aggregate_atoms,
-    build_specs,
-    empty_table,
-    join_values,
-    table_atoms,
-)
-from .program import Program, fact_clause
+from .lattice import AnswerTable, aggregate_atoms, empty_table, join_values, table_atoms
+from .program import Program
 from .reference import (
     DEFAULT_FUEL,
     EvalOutcome,
     FixpointResult,
-    StratumResult,
     _AtomIndex,
     _fire_delta,
+    evaluate_strata,
     immediate_step,
 )
-from .stratify import stratify, stratum_clauses
-from .terms import atom_sorted
 
 
 def greedy_step(clauses, specs, table):
@@ -103,26 +97,11 @@ def stratified_greedy_semantics(program: Program, fuel=DEFAULT_FUEL,
     pair per stratum: the clauses the stratum ran with (lower-strata
     answers injected as facts) and the chain of tables visited.
     """
-    specs = build_specs(program)
-    lower = frozenset()
-    table = empty_table()
-    results = []
-    total = 0
-    for preds in stratify(program).strata:
-        clauses = stratum_clauses(program, preds) + tuple(
-            fact_clause(a) for a in atom_sorted(lower))
+    def fixpoint(clauses, specs, fuel, lower):
         trace = [] if trace_sink is not None else None
         fp = greedy_fixpoint(clauses, specs, fuel, trace)
         if trace_sink is not None:
             trace_sink.append((clauses, tuple(trace)))
-        total += fp.steps
-        names = tuple(sorted(preds))
-        atoms = table_atoms(specs, fp.value)
-        if not fp.converged:
-            results.append(StratumResult(names, atoms, fp.steps, False))
-            return EvalOutcome(False, atoms, fp.value, total, tuple(results), names)
-        # the lower strata's answers came in as facts, so this table
-        # already holds every answer so far
-        lower, table = atoms, fp.value
-        results.append(StratumResult(names, lower, fp.steps, True))
-    return EvalOutcome(True, lower, table, total, tuple(results), None)
+        return fp, fp.value
+
+    return evaluate_strata(program, fuel, fixpoint)

@@ -351,9 +351,8 @@ class ProductLattice(LatticeSpec):
 
     kind = "product"
 
-    @property
-    def total(self):
-        return all(p.total for p in self.parts)
+    def __post_init__(self):
+        object.__setattr__(self, "total", all(p.total for p in self.parts))
 
     def join(self, x, y):
         return ProductVal(tuple(
@@ -383,24 +382,6 @@ def join_values(spec: LatticeSpec, x, y):
     if x == y:
         return x
     return spec.join(x, y)
-
-
-def leq_values(spec: LatticeSpec, x, y) -> bool:
-    if x is BOTTOM:
-        return True
-    if y is BOTTOM:
-        return False
-    return join_values(spec, x, y) == y
-
-
-def abstract_output(spec: LatticeSpec, term: Term):
-    return spec.abstract(term)
-
-
-def represent_output(spec: LatticeSpec, value) -> Term:
-    if value is BOTTOM:
-        raise DomainError("bottom has no representation")
-    return spec.represent(value)
 
 
 def value_to_str(value) -> str:
@@ -446,16 +427,17 @@ class PredSpec:
 
     def atom_of(self, key, value) -> Atom:
         _, inputs = key
+        if not self.out_positions:  # every position is an index
+            return Atom(self.pred, inputs)
         args = [None] * self.arity
         for i, pos in enumerate(self.in_positions):
             args[pos] = inputs[i]
-        if self.out_positions:
-            rep = self.lattice.represent(value)
-            if len(self.out_positions) == 1:
-                args[self.out_positions[0]] = rep
-            else:
-                for pos, part in zip(self.out_positions, rep.elements):
-                    args[pos] = part
+        rep = self.lattice.represent(value)
+        if len(self.out_positions) == 1:
+            args[self.out_positions[0]] = rep
+        else:
+            for pos, part in zip(self.out_positions, rep.elements):
+                args[pos] = part
         return Atom(self.pred, tuple(args))
 
 
@@ -513,10 +495,6 @@ class AnswerTable:
     def sorted_items(self):
         return sorted(self.entries.items(), key=lambda kv: _key_sort_key(kv[0]))
 
-    @property
-    def is_empty(self):
-        return not self.entries
-
 
 def _key_sort_key(key):
     pred, inputs = key
@@ -534,23 +512,10 @@ def _spec_for(specs, pred):
         raise DomainError(f"no mode information for predicate {pred}") from None
 
 
-def singleton_table(specs, atom: Atom) -> AnswerTable:
-    """The table holding just this atom's abstracted answer."""
-    spec = _spec_for(specs, atom.pred)
-    return AnswerTable({spec.key_of(atom): spec.abstract_atom(atom)})
-
-
 def table_atoms(specs, table: AnswerTable) -> frozenset:
     """All atoms a table claims true (the extraction half of aggregation)."""
-    out = set()
-    for (pred, inputs), value in table.entries.items():
-        spec = _spec_for(specs, pred)
-        if spec.lattice.kind == "discrete":
-            if value.elements:
-                out.add(Atom(pred, inputs))
-        else:
-            out.add(spec.atom_of((pred, inputs), value))
-    return frozenset(out)
+    return frozenset(_spec_for(specs, key[0]).atom_of(key, value)
+                     for key, value in table.entries.items())
 
 
 def _fold(specs, atoms):
@@ -593,9 +558,3 @@ def table_join(specs, tables) -> AnswerTable:
             else:
                 entries[key] = join_values(_spec_for(specs, key[0]).lattice, old, value)
     return AnswerTable(entries)
-
-
-def table_leq(specs, f: AnswerTable, g: AnswerTable) -> bool:
-    return all(
-        leq_values(_spec_for(specs, key[0]).lattice, value, g.get(key))
-        for key, value in f.entries.items())

@@ -43,8 +43,8 @@ class Clause:
 class Mode:
     """One argument's tabling mode.
 
-    kind is one of index, min, max, all, lattice, po, extnat; the last
-    three may carry the name of the relation (or builtin join) used.
+    kind is one of index, min, max, all, lattice, po; the last two
+    carry the name of the relation (or builtin join) used.
     """
 
     kind: str
@@ -52,9 +52,6 @@ class Mode:
 
 
 INDEX = Mode("index")
-MIN = Mode("min")
-MAX = Mode("max")
-ALL = Mode("all")
 
 
 @dataclass(frozen=True)
@@ -135,17 +132,12 @@ def _bind(pattern, term, bindings):
     return pattern == term
 
 
-def match(pattern, term, bindings):
-    """One-way matching of a pattern against a ground term.
+def match_seq(patterns, terms, bindings):
+    """One-way matching of patterns against ground terms, pairwise.
 
     Returns the extended bindings, or None if they do not match.
-    Already-bound variables must agree with the term.
+    Already-bound variables must agree with the terms.
     """
-    out = dict(bindings)
-    return out if _bind(pattern, term, out) else None
-
-
-def match_seq(patterns, terms, bindings):
     out = dict(bindings)
     for p, t in zip(patterns, terms):
         if isinstance(p, Var):  # the common case, inlined from _bind

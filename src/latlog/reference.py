@@ -1,12 +1,14 @@
-"""Bottom-up reference evaluation.
+"""Bottom-up reference evaluation, and the stratum driver it shares.
 
 Two operators drive everything. The immediate-consequence step derives
 every head reachable from an interpretation in one rule firing. The
 join-extended step additionally closes each answer group under its
 lattice join, so atoms created by the join (rather than by inference)
-can fire rules of their own. Evaluation runs stratum by stratum: each
-stratum's converged model is aggregated once, and the surviving atoms
-are handed to the next stratum as plain facts.
+can fire rules of their own. Evaluation runs stratum by stratum in
+`evaluate_strata`, which hands each stratum's fixpoint the lower
+strata's answers as plain facts. The greedy engine and the checker's
+universe run it too, each with a fixpoint of its own; here it is the
+join-extended step's, aggregated once.
 
 Divergence is an outcome, not a hang. `fuel` bounds the number of
 operator applications and also the size the interpretation may reach,
@@ -17,6 +19,7 @@ step budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .builtins import eval_builtin
 from .errors import DomainError
@@ -28,9 +31,9 @@ from .lattice import (
     join_values,
     table_atoms,
 )
-from .program import Builtin, Call, Clause, Program, Var, fact_clause, match_seq, substitute
+from .program import Call, Program, Var, fact_clause, match_seq, substitute
 from .stratify import stratify, stratum_clauses
-from .terms import Atom, Int, Symbol, atom_sorted
+from .terms import Atom, Int, Symbol, atom_sorted, term_key
 
 DEFAULT_FUEL = 10000
 
@@ -219,18 +222,22 @@ def _close_group(spec, values, new_values, budget):
 
     Returns the values actually added. Lattices whose join always
     returns one of its operands cannot create anything, so they skip
-    the pairwise probing outright.
+    the pairwise probing outright. Under a join table that leaves a
+    pair undefined, the walk goes in the term order of the values.
     """
     fresh = [v for v in new_values if v not in values]
     values.update(fresh)
-    if spec.lattice.selective:
+    lattice = spec.lattice
+    if lattice.selective:
         return fresh
+    walk = list if lattice.total else partial(
+        sorted, key=lambda v: term_key(lattice.represent(v)))
     added = []
-    frontier = list(fresh) if len(values) > len(fresh) else list(values)
+    frontier = walk(fresh) if len(values) > len(fresh) else walk(values)
     while frontier:
         next_frontier = []
         for x in frontier:
-            for y in list(values):
+            for y in walk(values):
                 j = join_values(spec.lattice, x, y)
                 if j not in values:
                     values.add(j)
@@ -264,12 +271,6 @@ def close_answer_groups(specs, atoms, budget) -> frozenset:
     return frozenset(atoms).union(added) if added else atoms
 
 
-def aggregate_model(specs, atoms) -> frozenset:
-    """Post-processing: aggregate the atoms per answer group, then read
-    the surviving atoms back out."""
-    return table_atoms(specs, aggregate_atoms(specs, atoms))
-
-
 # --- fueled fixpoints ------------------------------------------------------
 
 
@@ -294,6 +295,9 @@ def stratum_lfp(clauses, specs, fuel) -> FixpointResult:
     groups = {}
     steps = 0
     delta = None
+    # under a partial join table, a group's closure fed one value at a
+    # time must meet the same undefined pair first on every run
+    ordered = not all(spec.lattice.total for spec in specs.values())
 
     while steps < fuel:
         derived = set()
@@ -303,7 +307,7 @@ def stratum_lfp(clauses, specs, fuel) -> FixpointResult:
 
         new_atoms = set(tp_delta)
         try:
-            for atom in tp_delta:
+            for atom in atom_sorted(tp_delta) if ordered else tp_delta:
                 spec = specs[atom.pred]
                 lattice = spec.lattice
                 if lattice.selective:
@@ -342,12 +346,14 @@ def stratum_lfp(clauses, specs, fuel) -> FixpointResult:
 # --- stratified evaluation -------------------------------------------------
 
 
-def stratified_reference_semantics(program: Program, fuel=DEFAULT_FUEL) -> EvalOutcome:
-    """Post-processing semantics: per stratum, the fueled least fixpoint
-    of the join-extended step, aggregated once on convergence.
+def evaluate_strata(program: Program, fuel, fixpoint) -> EvalOutcome:
+    """Run `fixpoint` stratum by stratum, stopping at the first stratum
+    that does not converge.
 
-    The lower strata's answers come in as facts, so each stratum's
-    table already holds every answer so far.
+    `fixpoint(clauses, specs, fuel, lower)` gets the stratum's clauses
+    with the lower strata's answers `lower` injected as facts, and
+    returns its `FixpointResult` and its answer table. Because of those
+    facts, each stratum's table already holds every answer so far.
     """
     specs = build_specs(program)
     lower = frozenset()
@@ -357,15 +363,24 @@ def stratified_reference_semantics(program: Program, fuel=DEFAULT_FUEL) -> EvalO
     for preds in stratify(program).strata:
         clauses = stratum_clauses(program, preds) + tuple(
             fact_clause(a) for a in atom_sorted(lower))
-        fp = stratum_lfp(clauses, specs, fuel)
+        fp, table = fixpoint(clauses, specs, fuel, lower)
         total += fp.steps
         names = tuple(sorted(preds))
-        if not fp.converged:
-            table = aggregate_atoms(specs, frozenset(fp.value) | lower)
-            partial = table_atoms(specs, table)
-            results.append(StratumResult(names, partial, fp.steps, False))
-            return EvalOutcome(False, partial, table, total, tuple(results), names)
-        table = aggregate_atoms(specs, fp.value)
         lower = table_atoms(specs, table)
-        results.append(StratumResult(names, lower, fp.steps, True))
+        results.append(StratumResult(names, lower, fp.steps, fp.converged))
+        if not fp.converged:
+            return EvalOutcome(False, lower, table, total, tuple(results), names)
     return EvalOutcome(True, lower, table, total, tuple(results), None)
+
+
+def _folded_lfp(clauses, specs, fuel, lower):
+    fp = stratum_lfp(clauses, specs, fuel)
+    # a stratum that ran dry on its first step has not derived the
+    # injected facts yet; a converged one holds them already
+    return fp, aggregate_atoms(specs, fp.value | lower)
+
+
+def stratified_reference_semantics(program: Program, fuel=DEFAULT_FUEL) -> EvalOutcome:
+    """Post-processing semantics: per stratum, the fueled least fixpoint
+    of the join-extended step, aggregated once."""
+    return evaluate_strata(program, fuel, _folded_lfp)

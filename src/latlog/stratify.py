@@ -20,12 +20,6 @@ class Stratification:
     strata: tuple   # tuple[frozenset[str], ...] in evaluation order
     edges: frozenset  # (i, j): strata[i] is used by strata[j], i < j
 
-    def stratum_of(self, pred):
-        for i, s in enumerate(self.strata):
-            if pred in s:
-                return i
-        raise KeyError(pred)
-
 
 def dependency_graph(program: Program):
     deps = {p: set() for p in program.predicates()}

@@ -90,10 +90,6 @@ def term_key(t):
     raise TypeError(f"not a ground term: {t!r}")
 
 
-def term_lt(a, b):
-    return term_key(a) < term_key(b)
-
-
 def term_sorted(terms):
     return sorted(terms, key=term_key)
 

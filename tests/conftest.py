@@ -4,7 +4,15 @@ import random
 import pytest
 
 import latlog
-from latlog.lattice import aggregate_atoms, build_specs, table_atoms
+from latlog.errors import DomainError
+from latlog.lattice import (
+    BOTTOM,
+    AnswerTable,
+    aggregate_atoms,
+    build_specs,
+    join_values,
+    table_atoms,
+)
 from latlog.program import fact_clause
 from latlog.reference import (
     EvalOutcome,
@@ -35,6 +43,43 @@ def load(name):
 def programs():
     """Every corpus program, parsed once."""
     return {name: load(name) for name in CORPUS_FILES}
+
+
+# --- lattice and table helpers that only the tests need -----------------------
+
+
+def leq_values(spec, x, y) -> bool:
+    """x below y in the lattice: their join is y."""
+    if x is BOTTOM:
+        return True
+    if y is BOTTOM:
+        return False
+    return join_values(spec, x, y) == y
+
+
+def table_leq(specs, f, g) -> bool:
+    """Every value of table f lies below g's value at the same key."""
+    return all(leq_values(specs[key[0]].lattice, value, g.get(key))
+               for key, value in f.entries.items())
+
+
+def singleton_table(specs, atom) -> AnswerTable:
+    """The table holding just this atom's abstracted answer."""
+    spec = specs[atom.pred]
+    return AnswerTable({spec.key_of(atom): spec.abstract_atom(atom)})
+
+
+def represent_output(spec, value):
+    """The term that represents a value; bottom has none."""
+    if value is BOTTOM:
+        raise DomainError("bottom has no representation")
+    return spec.represent(value)
+
+
+def aggregate_model(specs, atoms) -> frozenset:
+    """Post-processing: aggregate the atoms per answer group, then read
+    the surviving atoms back out."""
+    return table_atoms(specs, aggregate_atoms(specs, atoms))
 
 
 def recompute_sides(program, witness, fuel):

@@ -13,7 +13,7 @@ import subprocess
 import sys
 import time
 
-from conftest import CORPUS, kleene_fixpoint, recompute_sides
+from conftest import CORPUS, aggregate_model, kleene_fixpoint, recompute_sides
 from latlog import cli
 from latlog.checker import (
     NO_VIOLATION,
@@ -25,7 +25,6 @@ from latlog.checker import (
 from latlog.greedy import stratified_greedy_semantics
 from latlog.lattice import DUMMY, SetVal, TermVal, build_specs
 from latlog.reference import (
-    aggregate_model,
     immediate_step,
     stratified_reference_semantics,
     stratum_lfp,

@@ -68,6 +68,20 @@ def test_eval_json_divergence(capsys):
     assert "even(0)" in data["answers"]  # partial answers are still reported
 
 
+def test_divergence_on_the_first_step_keeps_the_lower_answers(capsys, tmp_path):
+    # the join closure of p(k,_) outgrows fuel 5 in p's first step, so
+    # p's stratum ends with an empty model; q's answers still count
+    f = write(tmp_path, ":- table p(index,all). q(a).\n"
+                        "p(k,1). p(k,2). p(k,3). p(k,4). p(k,X) :- q(X).\n")
+    code, out, _ = run(capsys, "eval", f, "--engine", "reference", "--fuel", "5", "--json")
+    assert code == 2
+    data = json.loads(out)
+    assert data["answers"] == ["q(a)"]
+    assert data["table"] == {"q(a)": "true"}
+    assert data["steps"] == 2
+    assert data["diverged_stratum"] == ["p"]
+
+
 def test_check_json_violation(capsys):
     code, out, _ = run(capsys, "check", corpus_path("unsound_max.pl"),
                        "--fuel", "200", "--json")
@@ -79,6 +93,22 @@ def test_check_json_violation(capsys):
     assert data["rhs"] == {"p": "2"}
     assert data["universe"] == {"complete": True,
                                 "atoms": ["p(0)", "p(1)", "p(2)", "p(3)"]}
+
+
+def test_a_diverging_universe_is_not_folded(capsys, tmp_path):
+    # p(a,foo) and p(a,5) cannot be joined under min/3, but p's stratum
+    # diverges, so the universe never folds them and serves as a pool
+    f = write(tmp_path, ":- table p(index,lattice(min/3)).\n"
+                        "p(a,foo). p(b,0). p(b,X) :- p(b,Y), X is Y+1.\n"
+                        "p(a,X) :- p(b,X), X = 5.\n")
+    code, out, _ = run(capsys, "check", f, "--strategy", "sampled", "--samples", "5",
+                       "--fuel", "100", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == "no-violation-found"
+    assert data["tested"] == 5
+    assert data["universe"]["complete"] is False
+    assert {"p(a,foo)", "p(a,5)", "p(b,0)"} <= set(data["universe"]["atoms"])
 
 
 def test_check_json_inconclusive(capsys):
@@ -235,6 +265,21 @@ def test_fold_outcome_does_not_depend_on_the_hash_seed(text, engines, expected, 
                 [sys.executable, "-m", "latlog.cli", "eval", f, "--engine", engine],
                 capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed})
             assert (proc.returncode, proc.stdout, proc.stderr) == expected, (engine, seed)
+
+
+def test_join_closure_error_does_not_depend_on_the_hash_seed(tmp_path):
+    # the reference closes p's group under j, which is undefined on
+    # (a, c); the closure walks the values in term order, so it names
+    # the same pair at every seed, through eval and through the
+    # checker's universe alike
+    f = write(tmp_path, "j(a,b,c).\n:- table p(lattice(j/3)).\np(a). p(b). p(c).\n")
+    for argv in (["eval", f, "--engine", "reference"], ["check", f]):
+        for seed in ("1", "2", "3", "4", "5", "6"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "latlog.cli", *argv],
+                capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed})
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                4, "", "error: join j is undefined on (c, a)\n"), (argv[0], seed)
 
 
 def test_a_domain_error_comes_before_arithmetic_on_the_rejected_term(capsys, tmp_path):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import CORPUS_FILES, DAG_PROGRAMS, random_dag_program
+from conftest import CORPUS_FILES, DAG_PROGRAMS, random_dag_program, table_leq
 from latlog.greedy import greedy_fixpoint, greedy_step, stratified_greedy_semantics
 from latlog.lattice import (
     DUMMY,
@@ -13,7 +13,6 @@ from latlog.lattice import (
     empty_table,
     table_atoms,
     table_join,
-    table_leq,
 )
 from latlog.program import fact_clause
 from latlog.reference import (
@@ -126,7 +125,7 @@ def test_trace_sink_collects_one_chain_per_stratum(programs):
     stratified_greedy_semantics(programs["stratified_path.pl"], 100, trace_sink=sink)
     assert len(sink) == 3
     for clauses, tables in sink:
-        assert tables[0].is_empty
+        assert tables[0] == empty_table()
         assert len(tables) >= 1
         assert clauses
 

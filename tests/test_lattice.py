@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load
+from conftest import leq_values, load, represent_output, singleton_table, table_leq
 from latlog.errors import (
     DomainError,
     JoinUndefinedError,
@@ -28,17 +28,12 @@ from latlog.lattice import (
     SetVal,
     TermVal,
     UserJoinLattice,
-    abstract_output,
     aggregate_atoms,
     build_specs,
     empty_table,
     join_values,
-    leq_values,
-    represent_output,
-    singleton_table,
     table_atoms,
     table_join,
-    table_leq,
     value_to_str,
 )
 from latlog.parser import parse_program
@@ -198,9 +193,9 @@ def test_po_must_be_transitive():
 
 
 def test_abstract_examples():
-    assert abstract_output(AllLattice(), Int(1)) == SetVal(frozenset({Int(1)}))
-    assert abstract_output(ExtendedNatLattice(), INFTY) == INF
-    assert abstract_output(MinLattice(), Int(3)) == TermVal(Int(3))
+    assert AllLattice().abstract(Int(1)) == SetVal(frozenset({Int(1)}))
+    assert ExtendedNatLattice().abstract(INFTY) == INF
+    assert MinLattice().abstract(Int(3)) == TermVal(Int(3))
 
 
 def test_represent_examples():
@@ -217,7 +212,7 @@ def test_represent_rejects_bottom():
 
 def test_extnat_domain_is_checked():
     with pytest.raises(DomainError):
-        abstract_output(ExtendedNatLattice(), a)
+        ExtendedNatLattice().abstract(a)
 
 
 def test_product_abstract_needs_matching_tuple():

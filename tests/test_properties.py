@@ -10,7 +10,15 @@ import random
 
 import pytest
 
-from conftest import CORPUS_FILES, join_extended_step, load
+from conftest import (
+    CORPUS_FILES,
+    aggregate_model,
+    join_extended_step,
+    leq_values,
+    load,
+    singleton_table,
+    table_leq,
+)
 from latlog.greedy import greedy_step
 from latlog.lattice import (
     BOTTOM,
@@ -29,13 +37,9 @@ from latlog.lattice import (
     aggregate_atoms,
     build_specs,
     join_values,
-    leq_values,
-    singleton_table,
     table_atoms,
-    table_leq,
 )
 from latlog.reference import (
-    aggregate_model,
     close_answer_groups,
     immediate_step,
     stratum_lfp,

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     CORPUS_FILES,
     DAG_PROGRAMS,
+    aggregate_model,
     join_extended_step,
     kleene_fixpoint,
     naive_reference_semantics,
@@ -15,7 +16,6 @@ from conftest import (
 from latlog.lattice import build_specs, join_values, table_atoms
 from latlog.parser import parse_program
 from latlog.reference import (
-    aggregate_model,
     close_answer_groups,
     immediate_step,
     stratified_reference_semantics,
