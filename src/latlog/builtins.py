@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from .errors import ArithmeticTypeError
 from .program import Builtin, Compound, Var, pattern_to_str, substitute
-from .terms import Int, term_to_str
+from .terms import MAX_INT_DIGITS, Int, term_to_str
+
+_INT_BOUND = 10 ** MAX_INT_DIGITS
 
 _BINOPS = {
     "+": lambda a, b: a + b,
@@ -49,11 +51,16 @@ def eval_builtin(lit: Builtin, bindings):
 
     Returns the (possibly extended) bindings on success, None on failure.
     `is` binds its left side when it is an unbound variable, otherwise
-    it checks for equality with the evaluated right side.
+    it checks for equality with the evaluated right side. A result of
+    more than MAX_INT_DIGITS digits is an error.
     """
     lhs, rhs = lit.args
     if lit.op == "is":
-        value = Int(eval_arith(rhs, bindings))
+        n = eval_arith(rhs, bindings)
+        if not -_INT_BOUND < n < _INT_BOUND:
+            raise ArithmeticTypeError(
+                f"{pattern_to_str(rhs)} has more than {MAX_INT_DIGITS} digits")
+        value = Int(n)
         if isinstance(lhs, Var) and lhs.name not in bindings:
             out = dict(bindings)
             out[lhs.name] = value

@@ -23,8 +23,8 @@ under the join, or the trace subsets together with their collapses.
 The resulting firing table keeps each firing with the body atoms it
 read, which is the why-provenance of the step (Green, Karvounarakis
 and Tannen, PODS 2007), and the step on any subset of the pool is a
-containment test over it. Aggregation over the table folds in ranks
-fixed once per table instead of sorting per call. A set outside the
+containment test over it. Aggregation over the table reuses each
+atom's key and value, abstracted once per table. A set outside the
 pool is stepped directly; under `all` and `po` a collapse can be one,
 since a value read back is written as a list. A clause whose builtins
 raise while the table is built stays out of it and is fired directly
@@ -191,16 +191,15 @@ class _FiringTable:
                 raise _TableTooLarge
         self.direct = tuple(c for i, c in enumerate(clauses) if i in self._raised)
 
-        # (rank, key, lattice, value) per atom, ranks in atom_key order;
-        # value None where abstracting the atom raises
+        # (key, lattice, value) per atom, where abstracting it does not raise
         self.info = {}
-        for rank, atom in enumerate(atom_sorted(self._canon)):
+        for atom in self._canon:
             spec = specs[atom.pred]
             try:
-                value = spec.abstract_atom(atom)
+                self.info[atom] = (spec.key_of(atom), spec.lattice, spec.abstract_atom(atom))
             except LatticeError:
-                value = None
-            self.info[atom] = (rank, spec.key_of(atom), spec.lattice, value)
+                pass
+        self.total = all(spec.lattice.total for spec in specs.values())
 
     def _fire(self, idx, delta):
         """Record the firings over `idx` that read an atom of `delta`."""
@@ -246,18 +245,22 @@ class _FiringTable:
         return frozenset(out)
 
     def aggregate(self, atoms):
-        """`aggregate_atoms`, folding in the table's ranks."""
-        try:
-            items = sorted([self.info[a] for a in atoms])
-        except KeyError:  # an atom outside the table
-            return aggregate_atoms(self.specs, atoms)
-        entries = {}
-        for _, key, lattice, value in items:
-            if value is None:  # let the sorted fold raise its error
-                return aggregate_atoms(self.specs, atoms)
-            old = entries.get(key)
-            entries[key] = value if old is None else join_values(lattice, old, value)
-        return AnswerTable(entries)
+        """`aggregate_atoms`, folding the table's cached keys and values
+        in input order when every lattice is total. Otherwise, and for
+        an atom outside the table or a fold that raises, the sorted fold
+        of `aggregate_atoms` gives the result or names the error."""
+        if self.total:
+            info = self.info
+            entries = {}
+            try:
+                for a in atoms:
+                    key, lattice, value = info[a]
+                    old = entries.get(key)
+                    entries[key] = value if old is None else join_values(lattice, old, value)
+                return AnswerTable(entries)
+            except (KeyError, LatlogError):
+                pass
+        return aggregate_atoms(self.specs, atoms)
 
 
 def _compare(x, step, aggregate, specs, fuel):

@@ -305,6 +305,8 @@ def main(argv=None) -> int:
                 text = handle.read()
         except OSError as exc:
             raise ParseError(f"cannot read {args.file}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"cannot read {args.file}: {exc}") from exc
         program = parse_program(text)
         handler = {"eval": _cmd_eval, "check": _cmd_check,
                    "diff": _cmd_diff, "strata": _cmd_strata}[args.command]

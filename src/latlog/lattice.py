@@ -4,31 +4,36 @@ An answer table maps (predicate, indexed-argument tuple) keys to values
 of that predicate's lattice. Absent keys mean bottom; a table never
 stores bottom explicitly. Each lattice kind supplies a join, plus an
 abstraction from output terms to values and a representation back:
-abstract(represent(v)) = v for every value that can arise.
+abstract(represent(v)) = v for every value that can arise. Values are
+plain data: a term, a frozenset of terms, or a tuple of part values.
+Where the value is the output term itself, both conversions are the
+identity.
 
-Kinds:
+Kinds, each with the type of its values:
 
-  min / max      terms under the total term order, join takes the lesser
-                 (resp. greater) operand
-  all            finite sets of terms, join is union; represented as a
+  min / max      a term; under the total term order, join takes the
+                 lesser (resp. greater) operand
+  all            a frozenset of terms, join is union; represented as a
                  sorted list term, and a list term abstracts back to its
                  element set
-  po             antichains of a user-supplied partial order (given as
-                 ground facts), join is union followed by pruning of
-                 dominated elements
-  user join      a binary join given as ground facts name(X, Y, Z), or
-                 one of the builtin arithmetic joins min/max; a fact
+  po             a frozenset of terms: an antichain of a user-supplied
+                 partial order (given as ground facts), join is union
+                 followed by pruning of dominated elements
+  user join      a term; the join is given as ground facts name(X, Y, Z),
+                 or is one of the builtin arithmetic joins min/max; a fact
                  table is checked when the lattice is built to be
                  functional, commutative, idempotent and associative
                  wherever it is defined; only a table defined on every
                  pair of its carrier is total, and lets answers be
                  folded in any order
-  extended nat   integers plus the absorbing top `infty`, join is max
-  discrete       the set lattice over a unit element; used for untabled
-                 (and plainly tabled) predicates so answers never subsume
-                 one another
-  product        componentwise combination when several arguments carry
-                 non-index modes
+  extended nat   a term: an integer, or the absorbing top `infty`; join
+                 is max, since the term order puts every symbol above
+                 every integer
+  discrete       a frozenset holding the unit element: the set lattice
+                 used for untabled (and plainly tabled) predicates, so
+                 answers never subsume one another
+  product        a tuple of part values, combined componentwise, when
+                 several arguments carry non-index modes
 """
 
 from __future__ import annotations
@@ -56,44 +61,15 @@ from .terms import (
 
 DUMMY = Symbol("$unit")
 INFTY = Symbol("infty")
+_TRUE = frozenset((DUMMY,))
 
 
 class _BottomType:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "Bottom"
 
 
 BOTTOM = _BottomType()
-
-
-@dataclass(frozen=True)
-class TermVal:
-    term: Term
-
-
-@dataclass(frozen=True)
-class SetVal:
-    elements: frozenset
-
-
-@dataclass(frozen=True)
-class InfVal:
-    pass
-
-
-INF = InfVal()
-
-
-@dataclass(frozen=True)
-class ProductVal:
-    parts: tuple
 
 
 # --- lattice kinds -----------------------------------------------------
@@ -115,10 +91,10 @@ class LatticeSpec:
         raise NotImplementedError
 
     def abstract(self, term):
-        raise NotImplementedError
+        return term
 
     def represent(self, value):
-        raise NotImplementedError
+        return value
 
 
 class MinLattice(LatticeSpec):
@@ -126,47 +102,29 @@ class MinLattice(LatticeSpec):
     selective = True
 
     def join(self, x, y):
-        return x if term_key(x.term) <= term_key(y.term) else y
-
-    def abstract(self, term):
-        return TermVal(term)
-
-    def represent(self, value):
-        return value.term
-
-    def __eq__(self, other):
-        return type(self) is type(other)
-
-    def __hash__(self):
-        return hash(self.kind)
+        return x if term_key(x) <= term_key(y) else y
 
 
 class MaxLattice(MinLattice):
     kind = "max"
 
     def join(self, x, y):
-        return x if term_key(x.term) >= term_key(y.term) else y
+        return x if term_key(x) >= term_key(y) else y
 
 
 class AllLattice(LatticeSpec):
     kind = "all"
 
     def join(self, x, y):
-        return SetVal(x.elements | y.elements)
+        return x | y
 
     def abstract(self, term):
         if isinstance(term, ListTerm):
-            return SetVal(frozenset(term.elements))
-        return SetVal(frozenset((term,)))
+            return frozenset(term.elements)
+        return frozenset((term,))
 
     def represent(self, value):
-        return ListTerm(tuple(term_sorted(value.elements)))
-
-    def __eq__(self, other):
-        return type(self) is type(other)
-
-    def __hash__(self):
-        return hash(self.kind)
+        return ListTerm(tuple(term_sorted(value)))
 
 
 class DiscreteLattice(AllLattice):
@@ -177,7 +135,7 @@ class DiscreteLattice(AllLattice):
 
 
 @dataclass(frozen=True)
-class PoLattice(LatticeSpec):
+class PoLattice(AllLattice):
     name: str
     pairs: frozenset  # (x, y) meaning x precedes y; reflexivity implicit
 
@@ -206,15 +164,12 @@ class PoLattice(LatticeSpec):
             if not any(y != x and self.precedes(x, y) for y in elements))
 
     def join(self, x, y):
-        return SetVal(self.prune(x.elements | y.elements))
+        return self.prune(x | y)
 
     def abstract(self, term):
         if isinstance(term, ListTerm):
-            return SetVal(self.prune(frozenset(term.elements)))
-        return SetVal(frozenset((term,)))
-
-    def represent(self, value):
-        return ListTerm(tuple(term_sorted(value.elements)))
+            return self.prune(frozenset(term.elements))
+        return frozenset((term,))
 
 
 def _require_int(name, term):
@@ -293,56 +248,28 @@ class UserJoinLattice(LatticeSpec):
                             f"({term_to_str(x)}, {term_to_str(y)}, {term_to_str(z)})")
         return total
 
-    def join_terms(self, a, b):
+    def join(self, x, y):
         if self.rows is None:
-            if a == b:
-                return a
+            if x == y:
+                return x
             fn = _BUILTIN_JOINS[self.name]
-            return fn(_require_int(self.name, a), _require_int(self.name, b))
-        z = self._lookup(a, b)
+            return fn(_require_int(self.name, x), _require_int(self.name, y))
+        z = self._lookup(x, y)
         if z is None:
-            raise JoinUndefinedError(self.name, term_to_str(a), term_to_str(b))
+            raise JoinUndefinedError(self.name, term_to_str(x), term_to_str(y))
         return z
 
-    def join(self, x, y):
-        return TermVal(self.join_terms(x.term, y.term))
 
-    def abstract(self, term):
-        return TermVal(term)
-
-    def represent(self, value):
-        return value.term
-
-
-class ExtendedNatLattice(LatticeSpec):
+class ExtendedNatLattice(MaxLattice):
     """Integers with an adjoined absorbing top, written `infty`."""
 
     kind = "extnat"
-    selective = True
     checks_domain = True
 
-    def join(self, x, y):
-        if isinstance(x, InfVal) or isinstance(y, InfVal):
-            return INF
-        return x if x.term.value >= y.term.value else y
-
     def abstract(self, term):
-        if term == INFTY:
-            return INF
-        if isinstance(term, Int):
-            return TermVal(term)
+        if term == INFTY or isinstance(term, Int):
+            return term
         raise DomainError(f"{term_to_str(term)} is not an extended natural")
-
-    def represent(self, value):
-        if isinstance(value, InfVal):
-            return INFTY
-        return value.term
-
-    def __eq__(self, other):
-        return type(self) is type(other)
-
-    def __hash__(self):
-        return hash(self.kind)
 
 
 @dataclass(frozen=True)
@@ -355,19 +282,16 @@ class ProductLattice(LatticeSpec):
         object.__setattr__(self, "total", all(p.total for p in self.parts))
 
     def join(self, x, y):
-        return ProductVal(tuple(
-            p.join(a, b) for p, a, b in zip(self.parts, x.parts, y.parts)))
+        return tuple(p.join(a, b) for p, a, b in zip(self.parts, x, y))
 
     def abstract(self, term):
         if not isinstance(term, ListTerm) or len(term.elements) != len(self.parts):
             raise DomainError(
                 f"{term_to_str(term)} does not fit a {len(self.parts)}-part product")
-        return ProductVal(tuple(
-            p.abstract(e) for p, e in zip(self.parts, term.elements)))
+        return tuple(p.abstract(e) for p, e in zip(self.parts, term.elements))
 
     def represent(self, value):
-        return ListTerm(tuple(
-            p.represent(v) for p, v in zip(self.parts, value.parts)))
+        return ListTerm(tuple(p.represent(v) for p, v in zip(self.parts, value)))
 
 
 # --- value-level operations --------------------------------------------
@@ -388,17 +312,13 @@ def value_to_str(value) -> str:
     """Human-readable form of a lattice value, for reports."""
     if value is BOTTOM:
         return "bottom"
-    if isinstance(value, TermVal):
-        return term_to_str(value.term)
-    if isinstance(value, InfVal):
-        return "infty"
-    if isinstance(value, SetVal):
-        if value.elements == frozenset((DUMMY,)):
+    if isinstance(value, frozenset):
+        if value == _TRUE:
             return "true"
-        return "{" + ", ".join(term_to_str(t) for t in term_sorted(value.elements)) + "}"
-    if isinstance(value, ProductVal):
-        return "(" + ", ".join(value_to_str(p) for p in value.parts) + ")"
-    raise DomainError(f"not a lattice value: {value!r}")
+        return "{" + ", ".join(term_to_str(t) for t in term_sorted(value)) + "}"
+    if isinstance(value, tuple):
+        return "(" + ", ".join(value_to_str(p) for p in value) + ")"
+    return term_to_str(value)
 
 
 # --- per-predicate specs ------------------------------------------------

@@ -14,7 +14,8 @@ Predicates named by lattice/po modes must be defined by ground facts
 take part in evaluation) or name a builtin arithmetic join. Clauses are
 checked for range restriction: every variable in a head or builtin must
 be bound by an earlier call, or by an earlier `is` output. No term may
-nest more than MAX_TERM_DEPTH lists, compounds or operators deep.
+nest more than MAX_TERM_DEPTH lists, compounds or operators deep, and
+no integer may have more than MAX_INT_DIGITS digits.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .program import (
     is_ground,
     pattern_vars,
 )
-from .terms import Compound, Int, ListTerm, Symbol, term_key, term_to_str
+from .terms import MAX_INT_DIGITS, Compound, Int, ListTerm, Symbol, term_key, term_to_str
 
 BUILTIN_JOIN_NAMES = frozenset({"min", "max", "max_inf"})
 # Deeper terms are refused: the engines compare and hash terms
@@ -75,6 +76,9 @@ def _tokenize(text):
             raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
         kind = m.lastgroup
         value = m.group()
+        if kind == "int" and len(value) > MAX_INT_DIGITS:
+            raise ParseError(f"integer longer than {MAX_INT_DIGITS} digits",
+                             line, pos - line_start + 1)
         if kind not in ("ws", "comment"):
             toks.append(_Tok(kind, value, line, m.start() - line_start + 1))
         nl = value.count("\n")

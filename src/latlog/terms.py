@@ -10,6 +10,8 @@ dataclasses, but each computes its hash once, when it is built, and
 keeps it: the engines hash the same atoms over and over in sets and
 index buckets, and a compound hash would otherwise recurse into every
 argument each time. Equality is the dataclass field comparison.
+The parser and `is` keep integers within MAX_INT_DIGITS decimal
+digits, so that every term can be printed.
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ from dataclasses import dataclass, field
 from typing import Union
 
 _set = object.__setattr__
+
+# No integer may have more decimal digits than this. Printing one takes
+# time quadratic in its length, which is why Python refuses to convert
+# integers of more than 4300 digits to or from text by default.
+MAX_INT_DIGITS = 4000
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -23,7 +23,7 @@ from latlog.checker import (
     diff_semantics,
 )
 from latlog.greedy import stratified_greedy_semantics
-from latlog.lattice import DUMMY, SetVal, TermVal, build_specs
+from latlog.lattice import DUMMY, build_specs
 from latlog.reference import (
     immediate_step,
     stratified_reference_semantics,
@@ -101,8 +101,8 @@ def test_criterion_4_exhaustive_witness(programs):
         report = check_greedy_soundness(prog, CheckStrategy("exhaustive"), FUEL)
         assert report.verdict == VIOLATION
         assert report.witness == atoms("p", (0,), (1,))
-        assert report.lhs.entries == {("p", ()): TermVal(Int(3))}
-        assert report.rhs.entries == {("p", ()): TermVal(Int(2))}
+        assert report.lhs.entries == {("p", ()): Int(3)}
+        assert report.rhs.entries == {("p", ()): Int(2)}
         lhs, rhs = recompute_sides(prog, report.witness, FUEL)
         assert lhs == report.lhs and rhs == report.rhs and lhs != rhs
 
@@ -136,10 +136,10 @@ def test_criterion_6_cyclic_graph_vs_oracle(programs):
 
         greedy = stratified_greedy_semantics(prog, FUEL)
         assert greedy.converged
-        expected = {("p", (Symbol(i), Symbol(j))): TermVal(Int(d))
+        expected = {("p", (Symbol(i), Symbol(j))): Int(d)
                     for (i, j), d in dist.items()}
         expected.update(
-            {("e", (Symbol(i), Symbol(j), Symbol("nt"))): SetVal(frozenset({DUMMY}))
+            {("e", (Symbol(i), Symbol(j), Symbol("nt"))): frozenset({DUMMY})
              for (i, j) in edges})
         assert greedy.table.entries == expected
 

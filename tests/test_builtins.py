@@ -3,7 +3,7 @@ import pytest
 from latlog.builtins import eval_arith, eval_builtin
 from latlog.errors import ArithmeticTypeError
 from latlog.program import Builtin, Var
-from latlog.terms import Compound, Int, Symbol
+from latlog.terms import MAX_INT_DIGITS, Compound, Int, Symbol
 
 
 def b(op, lhs, rhs):
@@ -21,6 +21,20 @@ def test_is_checks_bound_variable():
     env = {"Y": Int(6)}
     assert eval_builtin(b("is", Var("Y"), expr), env) == env
     assert eval_builtin(b("is", Var("Y"), expr), {"Y": Int(7)}) is None
+
+
+def test_is_refuses_a_result_past_the_digit_bound():
+    square = b("is", Var("Y"), Compound("*", (Var("X"), Var("X"))))
+    # 10**k has k + 1 digits
+    half = MAX_INT_DIGITS // 2
+    out = eval_builtin(square, {"X": Int(10 ** (half - 1))})
+    assert len(str(out["Y"].value)) == MAX_INT_DIGITS - 1
+    for x in (10 ** half, -(10 ** half)):
+        with pytest.raises(ArithmeticTypeError, match=f"more than {MAX_INT_DIGITS} digits"):
+            eval_builtin(square, {"X": Int(x)})
+    negated = b("is", Var("Y"), Compound("-", (Var("X"),)))
+    with pytest.raises(ArithmeticTypeError):
+        eval_builtin(negated, {"X": Int(10 ** MAX_INT_DIGITS)})
 
 
 def test_arith_operators():

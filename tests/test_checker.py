@@ -20,7 +20,6 @@ from latlog.checker import (
     diff_semantics,
 )
 from latlog.errors import LatlogError
-from latlog.lattice import TermVal
 from latlog.parser import parse_program
 from latlog.terms import Atom, Int, Symbol
 
@@ -68,8 +67,8 @@ def test_exhaustive_violation_on_the_max_program(programs):
     report = check_greedy_soundness(programs["unsound_max.pl"], EXHAUSTIVE, fuel=100)
     assert report.verdict == VIOLATION
     assert report.witness == p_atoms(0, 1)
-    assert report.lhs.entries == {("p", ()): TermVal(Int(3))}
-    assert report.rhs.entries == {("p", ()): TermVal(Int(2))}
+    assert report.lhs.entries == {("p", ()): Int(3)}
+    assert report.rhs.entries == {("p", ()): Int(2)}
     # deterministic enumeration: empty, {p(0)}, {p(1)}, then the witness
     assert report.tested == 4
     assert report.universe.complete
@@ -160,8 +159,8 @@ def test_fusion_violation_on_the_join_created_atom(programs):
     report = check_greedy_soundness(programs["lub_lattice.pl"], EXHAUSTIVE, fuel=100)
     assert report.verdict == VIOLATION
     assert report.witness == p_atoms("a", "b")
-    assert report.lhs.entries == {("p", ()): TermVal(Symbol("c"))}
-    assert report.rhs.entries == {("p", ()): TermVal(Symbol("d"))}
+    assert report.lhs.entries == {("p", ()): Symbol("c")}
+    assert report.rhs.entries == {("p", ()): Symbol("d")}
     assert diff_semantics(programs["lub_lattice.pl"], fuel=100).equal
 
 
@@ -251,7 +250,7 @@ def test_diff_on_the_max_program(programs):
     report = diff_semantics(programs["unsound_max.pl"], fuel=100)
     assert not report.equal
     assert report.per_key_diffs == (
-        ("p", (), TermVal(Int(3)), TermVal(Int(2))),)
+        ("p", (), Int(3), Int(2)),)
     assert report.reference.answers == p_atoms(3)
     assert report.greedy.answers == p_atoms(2)
 

@@ -11,6 +11,7 @@ from conftest import CORPUS, GOLDEN
 from golden_cases import CASES, resolved_argv
 from latlog.cli import main
 from latlog.parser import MAX_TERM_DEPTH
+from latlog.terms import MAX_INT_DIGITS
 
 
 def run(capsys, *argv):
@@ -226,6 +227,42 @@ def test_deep_nesting_exits_without_a_traceback(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
+    f = tmp_path / "prog.pl"
+    f.write_bytes(b"p(1).\n% caf\xe9\n")
+    code, out, err = run(capsys, "eval", str(f))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: cannot read {f}: 'utf-8' codec can't decode byte 0xe9")
+    assert err.count("\n") == 1
+    code, out, _ = run(capsys, "eval", str(f), "--json")
+    assert code == 3
+    assert json.loads(out)["kind"] == "parse"
+
+
+def _one_error(capsys, f, argv, code, kind, detail):
+    """The run exits with `code` and names the error in one line, in
+    text and in JSON alike."""
+    assert run(capsys, argv[0], f, *argv[1:]) == (code, "", f"error: {detail}\n"), argv
+    got, out, _ = run(capsys, argv[0], f, *argv[1:], "--json")
+    assert (got, json.loads(out)) == (
+        code, {"status": "error", "kind": kind, "detail": detail}), argv
+
+
+def test_an_integer_literal_past_the_digit_bound_is_a_parse_error(capsys, tmp_path):
+    f = write(tmp_path, "p(" + "9" * (MAX_INT_DIGITS + 1000) + ").\n")
+    _one_error(capsys, f, ("eval",), 3, "parse",
+               f"integer longer than {MAX_INT_DIGITS} digits at line 1, column 3")
+
+
+def test_arithmetic_past_the_digit_bound_is_a_program_error(capsys, tmp_path):
+    # p squares its value each step: 2**(2**14) has 4933 digits
+    f = write(tmp_path, ":- table p(max).\np(2).\np(X) :- p(Y), X is Y*Y.\n")
+    for argv in (("eval", "--fuel", "16"), ("eval", "--fuel", "16", "--engine", "reference"),
+                 ("diff", "--fuel", "16")):
+        _one_error(capsys, f, argv, 3, "arithmetic-type",
+                   f"(Y * Y) has more than {MAX_INT_DIGITS} digits")
 
 
 def test_partial_join_relation_is_a_lattice_error(capsys, tmp_path):

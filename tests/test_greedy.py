@@ -6,8 +6,6 @@ from conftest import CORPUS_FILES, DAG_PROGRAMS, random_dag_program, table_leq
 from latlog.greedy import greedy_fixpoint, greedy_step, stratified_greedy_semantics
 from latlog.lattice import (
     DUMMY,
-    SetVal,
-    TermVal,
     aggregate_atoms,
     build_specs,
     empty_table,
@@ -30,7 +28,7 @@ def test_step_of_the_empty_table_aggregates_the_facts(programs):
     prog = programs["unsound_max.pl"]
     specs = build_specs(prog)
     got = greedy_step(prog.clauses, specs, empty_table())
-    assert got.entries == {("p", ()): TermVal(Int(1))}
+    assert got.entries == {("p", ()): Int(1)}
     facts = immediate_step(prog.clauses, frozenset())
     assert got.entries == aggregate_atoms(specs, facts).entries
 
@@ -42,7 +40,7 @@ def test_raw_step_oscillates_on_the_max_program(programs):
     specs = build_specs(prog)
     one = greedy_step(prog.clauses, specs, empty_table())
     two = greedy_step(prog.clauses, specs, one)
-    assert two.entries == {("p", ()): TermVal(Int(2))}
+    assert two.entries == {("p", ()): Int(2)}
     assert greedy_step(prog.clauses, specs, two).entries == one.entries
 
 
@@ -53,10 +51,10 @@ def test_fixpoint_joins_the_oscillation_shut(programs):
     fp = greedy_fixpoint(prog.clauses, specs, 100, trace)
     assert fp.converged
     assert fp.steps == 3
-    assert fp.value.entries == {("p", ()): TermVal(Int(2))}
+    assert fp.value.entries == {("p", ()): Int(2)}
     # the trace is the ascending chain of tables the run visited
     assert [t.entries for t in trace] == [
-        {}, {("p", ()): TermVal(Int(1))}, {("p", ()): TermVal(Int(2))}]
+        {}, {("p", ()): Int(1)}, {("p", ()): Int(2)}]
     for earlier, later in zip(trace, trace[1:]):
         assert table_leq(specs, earlier, later)
 
@@ -107,10 +105,10 @@ def test_cyclic_distances_match_a_floyd_warshall_oracle(programs):
 
     out = stratified_greedy_semantics(programs["cyclic_path.pl"], 200)
     assert out.converged
-    expected = {("p", (Symbol(x), Symbol(y))): TermVal(Int(d))
+    expected = {("p", (Symbol(x), Symbol(y))): Int(d)
                 for (x, y), d in dist.items()}
     for (x, y) in edges:
-        expected[("e", (Symbol(x), Symbol(y), Symbol("nt")))] = SetVal(frozenset({DUMMY}))
+        expected[("e", (Symbol(x), Symbol(y), Symbol("nt")))] = frozenset({DUMMY})
     assert out.table.entries == expected
 
 

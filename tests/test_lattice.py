@@ -1,5 +1,7 @@
 """Value domains, joins, the atom/table conversions, and answer tables."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,6 @@ from latlog.errors import (
 from latlog.lattice import (
     BOTTOM,
     DUMMY,
-    INF,
     INFTY,
     AllLattice,
     AnswerTable,
@@ -24,9 +25,6 @@ from latlog.lattice import (
     MinLattice,
     PoLattice,
     ProductLattice,
-    ProductVal,
-    SetVal,
-    TermVal,
     UserJoinLattice,
     aggregate_atoms,
     build_specs,
@@ -56,49 +54,57 @@ def lub():
 
 
 def test_min_join_takes_lesser():
-    assert join_values(MinLattice(), TermVal(Int(1)), TermVal(Int(2))) == TermVal(Int(1))
-    assert join_values(MaxLattice(), TermVal(Int(1)), TermVal(Int(2))) == TermVal(Int(2))
+    assert join_values(MinLattice(), Int(1), Int(2)) == Int(1)
+    assert join_values(MaxLattice(), Int(1), Int(2)) == Int(2)
 
 
 def test_user_join_lookup(lub):
-    assert join_values(lub, TermVal(a), TermVal(b)) == TermVal(c)
+    assert join_values(lub, a, b) == c
     # commuted lookup works even though only one orientation is stored
-    assert lub.join_terms(d, a) == d
+    assert lub.join(d, a) == d
 
 
 def test_bottom_identity_and_idempotence(lub):
-    for spec, v in [(MinLattice(), TermVal(Int(1))),
-                    (lub, TermVal(a)),
-                    (AllLattice(), SetVal(frozenset({Int(1)})))]:
+    for spec, v in [(MinLattice(), Int(1)),
+                    (lub, a),
+                    (AllLattice(), frozenset({Int(1)}))]:
         assert join_values(spec, v, BOTTOM) == v
         assert join_values(spec, BOTTOM, v) == v
         assert join_values(spec, v, v) == v
 
 
 def test_all_join_is_union():
-    x = SetVal(frozenset({Int(1)}))
-    y = SetVal(frozenset({Int(2)}))
-    assert join_values(AllLattice(), x, y) == SetVal(frozenset({Int(1), Int(2)}))
+    x = frozenset({Int(1)})
+    y = frozenset({Int(2)})
+    assert join_values(AllLattice(), x, y) == frozenset({Int(1), Int(2)})
 
 
 def test_extnat_join():
     spec = ExtendedNatLattice()
-    assert join_values(spec, TermVal(Int(3)), TermVal(Int(5))) == TermVal(Int(5))
-    assert join_values(spec, TermVal(Int(3)), INF) == INF
-    assert join_values(spec, INF, INF) == INF
+    assert join_values(spec, Int(3), Int(5)) == Int(5)
+    assert join_values(spec, Int(3), INFTY) == INFTY
+    assert join_values(spec, INFTY, INFTY) == INFTY
+    # the term order's max is integer max, and puts infty above every integer
+    rng = random.Random(12)
+    for _ in range(300):
+        x, y = (rng.choice((Int(rng.randint(-10**6, -1)), Int(0),
+                            Int(rng.randint(1, 10**6)), INFTY)) for _ in range(2))
+        want = INFTY if INFTY in (x, y) else Int(max(x.value, y.value))
+        assert join_values(spec, x, y) == want
+        assert join_values(spec, y, x) == want
 
 
 def test_product_join_is_componentwise():
     spec = ProductLattice((MinLattice(), MaxLattice()))
-    x = ProductVal((TermVal(Int(1)), TermVal(Int(1))))
-    y = ProductVal((TermVal(Int(2)), TermVal(Int(2))))
-    assert join_values(spec, x, y) == ProductVal((TermVal(Int(1)), TermVal(Int(2))))
+    x = (Int(1), Int(1))
+    y = (Int(2), Int(2))
+    assert join_values(spec, x, y) == (Int(1), Int(2))
 
 
 def test_join_undefined_pair_is_an_error():
     spec = UserJoinLattice("j", frozenset({(a, b, c)}))
     with pytest.raises(JoinUndefinedError):
-        spec.join_terms(a, c)
+        spec.join(a, c)
 
 
 def test_user_join_law_validation():
@@ -117,9 +123,9 @@ def test_user_join_law_validation():
 
 def test_builtin_min_join_needs_integers():
     spec = UserJoinLattice("min", None)
-    assert spec.join_terms(Int(4), Int(2)) == Int(2)
+    assert spec.join(Int(4), Int(2)) == Int(2)
     with pytest.raises(DomainError):
-        spec.join_terms(Int(1), a)
+        spec.join(Int(1), a)
 
 
 def test_only_builtin_user_joins_are_selective():
@@ -145,12 +151,12 @@ def test_only_a_join_table_defined_on_its_whole_carrier_is_total(lub):
 
 
 def test_min_order_is_reversed():
-    assert leq_values(MinLattice(), TermVal(Int(2)), TermVal(Int(1)))
-    assert not leq_values(MinLattice(), TermVal(Int(1)), TermVal(Int(2)))
+    assert leq_values(MinLattice(), Int(2), Int(1))
+    assert not leq_values(MinLattice(), Int(1), Int(2))
 
 
 def test_bottom_below_everything(lub):
-    for spec, v in [(MinLattice(), TermVal(Int(0))), (lub, TermVal(d))]:
+    for spec, v in [(MinLattice(), Int(0)), (lub, d)]:
         assert leq_values(spec, BOTTOM, v)
         assert not leq_values(spec, v, BOTTOM)
     assert leq_values(MinLattice(), BOTTOM, BOTTOM)
@@ -158,8 +164,8 @@ def test_bottom_below_everything(lub):
 
 def test_po_set_order():
     spec = PoLattice("ord", frozenset({(a, c), (b, c)}))
-    assert leq_values(spec, SetVal(frozenset({a, b})), SetVal(frozenset({c})))
-    assert not leq_values(spec, SetVal(frozenset({c})), SetVal(frozenset({a})))
+    assert leq_values(spec, frozenset({a, b}), frozenset({c}))
+    assert not leq_values(spec, frozenset({c}), frozenset({a}))
 
 
 # --- po canonicalization and law checks ---------------------------------
@@ -167,15 +173,15 @@ def test_po_set_order():
 
 def test_po_join_prunes_dominated_elements():
     spec = PoLattice("ord", frozenset({(a, c), (b, c)}))
-    got = join_values(spec, SetVal(frozenset({a})), SetVal(frozenset({b})))
-    assert got == SetVal(frozenset({a, b}))
-    got = join_values(spec, got, SetVal(frozenset({c})))
-    assert got == SetVal(frozenset({c}))
+    got = join_values(spec, frozenset({a}), frozenset({b}))
+    assert got == frozenset({a, b})
+    got = join_values(spec, got, frozenset({c}))
+    assert got == frozenset({c})
 
 
 def test_po_abstract_canonicalizes_lists():
     spec = PoLattice("ord", frozenset({(a, c), (b, c)}))
-    assert spec.abstract(ListTerm((a, c))) == SetVal(frozenset({c}))
+    assert spec.abstract(ListTerm((a, c))) == frozenset({c})
 
 
 def test_po_must_be_antisymmetric():
@@ -193,16 +199,16 @@ def test_po_must_be_transitive():
 
 
 def test_abstract_examples():
-    assert AllLattice().abstract(Int(1)) == SetVal(frozenset({Int(1)}))
-    assert ExtendedNatLattice().abstract(INFTY) == INF
-    assert MinLattice().abstract(Int(3)) == TermVal(Int(3))
+    assert AllLattice().abstract(Int(1)) == frozenset({Int(1)})
+    assert ExtendedNatLattice().abstract(INFTY) == INFTY
+    assert MinLattice().abstract(Int(3)) == Int(3)
 
 
 def test_represent_examples():
-    got = represent_output(AllLattice(), SetVal(frozenset({Int(2), Int(1)})))
+    got = represent_output(AllLattice(), frozenset({Int(2), Int(1)}))
     assert got == ListTerm((Int(1), Int(2)))
-    assert represent_output(ExtendedNatLattice(), INF) == INFTY
-    assert represent_output(ExtendedNatLattice(), TermVal(Int(7))) == Int(7)
+    assert represent_output(ExtendedNatLattice(), INFTY) == INFTY
+    assert represent_output(ExtendedNatLattice(), Int(7)) == Int(7)
 
 
 def test_represent_rejects_bottom():
@@ -218,7 +224,7 @@ def test_extnat_domain_is_checked():
 def test_product_abstract_needs_matching_tuple():
     spec = ProductLattice((MinLattice(), MaxLattice()))
     v = spec.abstract(ListTerm((Int(1), Int(2))))
-    assert v == ProductVal((TermVal(Int(1)), TermVal(Int(2))))
+    assert v == (Int(1), Int(2))
     assert spec.represent(v) == ListTerm((Int(1), Int(2)))
     with pytest.raises(DomainError):
         spec.abstract(Int(1))
@@ -228,13 +234,13 @@ def test_product_abstract_needs_matching_tuple():
 
 def test_abstract_represent_retraction():
     cases = [
-        (MinLattice(), TermVal(a)),
-        (AllLattice(), SetVal(frozenset({Int(1), Int(2)}))),
-        (PoLattice("ord", frozenset({(a, c)})), SetVal(frozenset({b, c}))),
-        (ExtendedNatLattice(), INF),
-        (ExtendedNatLattice(), TermVal(Int(0))),
+        (MinLattice(), a),
+        (AllLattice(), frozenset({Int(1), Int(2)})),
+        (PoLattice("ord", frozenset({(a, c)})), frozenset({b, c})),
+        (ExtendedNatLattice(), INFTY),
+        (ExtendedNatLattice(), Int(0)),
         (ProductLattice((MinLattice(), AllLattice())),
-         ProductVal((TermVal(Int(1)), SetVal(frozenset({a}))))),
+         (Int(1), frozenset({a}))),
     ]
     for spec, v in cases:
         assert spec.abstract(spec.represent(v)) == v
@@ -278,19 +284,19 @@ def test_max_inf_names_the_builtin_completion(programs):
 def test_eta_on_a_min_atom(programs):
     specs = build_specs(programs["shortest_path.pl"])
     t = singleton_table(specs, Atom("p", (a, b, Int(1))))
-    assert t.entries == {("p", (a, b)): TermVal(Int(1))}
+    assert t.entries == {("p", (a, b)): Int(1)}
 
 
 def test_eta_on_an_index_only_atom_uses_the_unit_output(programs):
     specs = build_specs(programs["shortest_path.pl"])
     t = singleton_table(specs, Atom("e", (a, b, Symbol("nt"))))
-    assert t.entries == {("e", (a, b, Symbol("nt"))): SetVal(frozenset({DUMMY}))}
+    assert t.entries == {("e", (a, b, Symbol("nt"))): frozenset({DUMMY})}
 
 
 def test_eta_on_an_all_mode_atom():
     specs = build_specs(parse_program(":- table p(all).\np(1).\n"))
     t = singleton_table(specs, Atom("p", (Int(1),)))
-    assert t.entries == {("p", ()): SetVal(frozenset({Int(1)}))}
+    assert t.entries == {("p", ()): frozenset({Int(1)})}
 
 
 def test_rho_inverts_eta_on_atoms(programs):
@@ -302,20 +308,20 @@ def test_rho_inverts_eta_on_atoms(programs):
 
 def test_rho_represents_the_stored_value(programs):
     specs = build_specs(programs["shortest_path.pl"])
-    t = AnswerTable({("p", (a, c)): TermVal(Int(1))})
+    t = AnswerTable({("p", (a, c)): Int(1)})
     assert table_atoms(specs, t) == frozenset({Atom("p", (a, c, Int(1)))})
 
 
 def test_rho_drops_the_unit_output_of_discrete_entries(programs):
     specs = build_specs(programs["simple.pl"])
-    t = AnswerTable({("p", (a,)): SetVal(frozenset({DUMMY}))})
+    t = AnswerTable({("p", (a,)): frozenset({DUMMY})})
     assert table_atoms(specs, t) == frozenset({Atom("p", (a,))})
 
 
 def test_table_join_examples(programs):
     specs = build_specs(parse_program(":- table p(max).\np(1).\n"))
-    one = AnswerTable({("p", ()): TermVal(Int(1))})
-    two = AnswerTable({("p", ()): TermVal(Int(2))})
+    one = AnswerTable({("p", ()): Int(1)})
+    two = AnswerTable({("p", ()): Int(2)})
     assert table_join(specs, [one, two]).entries == two.entries
     assert table_join(specs, []).entries == {}
 
@@ -332,12 +338,12 @@ def test_aggregating_the_path_model_collapses_the_longer_distance(programs):
     ]
     t = aggregate_atoms(specs, model)
     assert t.entries == {
-        ("e", (a, b, nt)): SetVal(frozenset({DUMMY})),
-        ("e", (b, c, nt)): SetVal(frozenset({DUMMY})),
-        ("e", (a, c, nt)): SetVal(frozenset({DUMMY})),
-        ("p", (a, b)): TermVal(Int(1)),
-        ("p", (b, c)): TermVal(Int(1)),
-        ("p", (a, c)): TermVal(Int(1)),
+        ("e", (a, b, nt)): frozenset({DUMMY}),
+        ("e", (b, c, nt)): frozenset({DUMMY}),
+        ("e", (a, c, nt)): frozenset({DUMMY}),
+        ("p", (a, b)): Int(1),
+        ("p", (b, c)): Int(1),
+        ("p", (a, c)): Int(1),
     }
     joined = table_join(specs, [singleton_table(specs, x) for x in model])
     assert joined.entries == t.entries
@@ -345,8 +351,8 @@ def test_aggregating_the_path_model_collapses_the_longer_distance(programs):
 
 def test_table_pointwise_order(programs):
     specs = build_specs(parse_program(":- table p(min).\np(1).\n"))
-    f = AnswerTable({("p", ()): TermVal(Int(2))})
-    g = AnswerTable({("p", ()): TermVal(Int(1))})
+    f = AnswerTable({("p", ()): Int(2)})
+    g = AnswerTable({("p", ()): Int(1)})
     assert table_leq(specs, f, g)
     assert not table_leq(specs, g, f)
     assert table_join(specs, [f, g]).entries == g.entries
@@ -357,9 +363,9 @@ def test_table_pointwise_order(programs):
 
 def test_sorted_items_orders_by_pred_then_inputs():
     t = AnswerTable({
-        ("q", (Int(1),)): TermVal(Int(0)),
-        ("p", (b,)): TermVal(Int(0)),
-        ("p", (a,)): TermVal(Int(0)),
+        ("q", (Int(1),)): Int(0),
+        ("p", (b,)): Int(0),
+        ("p", (a,)): Int(0),
     })
     assert [k for k, _ in t.sorted_items()] == [
         ("p", (a,)), ("p", (b,)), ("q", (Int(1),))]
@@ -436,8 +442,8 @@ def test_a_partial_join_table_folds_in_sorted_order():
 
 def test_value_to_str():
     assert value_to_str(BOTTOM) == "bottom"
-    assert value_to_str(TermVal(Int(3))) == "3"
-    assert value_to_str(INF) == "infty"
-    assert value_to_str(SetVal(frozenset({DUMMY}))) == "true"
-    assert value_to_str(SetVal(frozenset({b, a}))) == "{a, b}"
-    assert value_to_str(ProductVal((TermVal(Int(1)), INF))) == "(1, infty)"
+    assert value_to_str(Int(3)) == "3"
+    assert value_to_str(INFTY) == "infty"
+    assert value_to_str(frozenset({DUMMY})) == "true"
+    assert value_to_str(frozenset({b, a})) == "{a, b}"
+    assert value_to_str((Int(1), INFTY)) == "(1, infty)"

@@ -9,7 +9,7 @@ from latlog.errors import (
 )
 from latlog.parser import parse_program, program_to_text
 from latlog.program import INDEX, Builtin, Call, Mode, Var
-from latlog.terms import Int, Symbol
+from latlog.terms import MAX_INT_DIGITS, Int, Symbol
 
 
 def test_corpus_parses(programs):
@@ -189,6 +189,18 @@ def test_parse_error_carries_position():
     assert exc.value.line == 3
     with pytest.raises(ParseError):
         parse_program("p(a) ?\n")
+
+
+def test_integer_tokens_are_bounded():
+    widest = "9" * MAX_INT_DIGITS
+    prog = parse_program(f"p({widest}). q(-{widest}).\n")
+    assert prog.clauses[0].head.args == (Int(int(widest)),)
+    assert prog.clauses[1].head.args == (Int(-int(widest)),)
+    wider = "1" + widest
+    for text in (f"p({wider}).\n", f"p(-{wider}).\n", f"p(X) :- q(Y), X is Y + {wider}.\n",
+                 f":- table p/{wider}.\n", f":- table p(lattice(j/{wider})).\n"):
+        with pytest.raises(ParseError, match=f"integer longer than {MAX_INT_DIGITS} digits"):
+            parse_program(text)
 
 
 # --- round trip --------------------------------------------------------

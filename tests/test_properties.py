@@ -22,7 +22,7 @@ from conftest import (
 from latlog.greedy import greedy_step
 from latlog.lattice import (
     BOTTOM,
-    INF,
+    INFTY,
     AllLattice,
     DiscreteLattice,
     ExtendedNatLattice,
@@ -30,9 +30,6 @@ from latlog.lattice import (
     MinLattice,
     PoLattice,
     ProductLattice,
-    ProductVal,
-    SetVal,
-    TermVal,
     UserJoinLattice,
     aggregate_atoms,
     build_specs,
@@ -80,7 +77,7 @@ def _term(rng):
 
 
 def _small_set(rng):
-    return SetVal(frozenset(_term(rng) for _ in range(rng.randint(1, 3))))
+    return frozenset(_term(rng) for _ in range(rng.randint(1, 3)))
 
 
 DIAMOND = PoLattice("ord", frozenset({
@@ -90,22 +87,22 @@ DIAMOND = PoLattice("ord", frozenset({
 
 def _antichain(rng):
     raw = frozenset(Symbol(rng.choice("abcd")) for _ in range(rng.randint(1, 3)))
-    return SetVal(DIAMOND.prune(raw))
+    return DIAMOND.prune(raw)
 
 
 def _kind_generators(lub):
     return [
-        (MinLattice(), lambda rng: TermVal(_term(rng))),
-        (MaxLattice(), lambda rng: TermVal(_term(rng))),
+        (MinLattice(), _term),
+        (MaxLattice(), _term),
         (AllLattice(), _small_set),
         (DiscreteLattice(), _small_set),
         (DIAMOND, _antichain),
-        (lub, lambda rng: TermVal(Symbol(rng.choice("abcd")))),
-        (UserJoinLattice("min", None), lambda rng: TermVal(Int(rng.randint(-9, 9)))),
+        (lub, lambda rng: Symbol(rng.choice("abcd"))),
+        (UserJoinLattice("min", None), lambda rng: Int(rng.randint(-9, 9))),
         (ExtendedNatLattice(),
-         lambda rng: INF if rng.random() < 0.2 else TermVal(Int(rng.randint(0, 20)))),
+         lambda rng: INFTY if rng.random() < 0.2 else Int(rng.randint(0, 20))),
         (ProductLattice((MinLattice(), AllLattice())),
-         lambda rng: ProductVal((TermVal(_term(rng)), _small_set(rng)))),
+         lambda rng: (_term(rng), _small_set(rng))),
     ]
 
 
@@ -125,7 +122,7 @@ def test_join_laws_per_kind(programs):
             # round trip through the term representation
             assert spec.abstract(spec.represent(x)) == x
             if isinstance(spec, PoLattice):
-                assert spec.prune(xy.elements) == xy.elements
+                assert spec.prune(xy) == xy
 
 
 # --- suite 2: step monotonicity ---------------------------------------------
