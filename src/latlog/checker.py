@@ -41,8 +41,10 @@ Every strategy compares the two sides with the same function. A subset
 that its own collapse leaves unchanged has equal sides by definition,
 so its right side is not recomputed. The left side is cross-checked
 against the join-extended step, whose aggregate must be the same; a
-gap is a bug in this package, not a property of the program. When the
-join closure of a step outgrows `fuel`, the check is inconclusive.
+gap is a bug in this package, not a property of the program. Many
+subsets share one step, so each distinct step is cross-checked once.
+When the join closure of a step outgrows `fuel`, the check is
+inconclusive.
 
 `diff_semantics` is the blunt instrument next to these: run both
 engines and compare answers.
@@ -263,20 +265,23 @@ class _FiringTable:
         return aggregate_atoms(self.specs, atoms)
 
 
-def _compare(x, step, aggregate, specs, fuel):
+def _compare(x, step, aggregate, specs, fuel, checked):
     """Both sides of the condition on one subset, as (lhs, rhs) tables.
 
     `step` and `aggregate` supply the immediate step and the
     aggregation of an atom set; the strategy chooses them. The left
-    side is cross-checked against the join-extended step.
+    side is cross-checked against the join-extended step, once per
+    distinct stepped set: `checked` holds the ones that have passed.
     """
     stepped = step(x)
     lhs = aggregate(stepped)
-    closed = close_answer_groups(specs, stepped, fuel)
-    if closed is not stepped and aggregate_atoms(specs, closed) != lhs:
-        raise InternalInconsistencyError(
-            "plain and join-extended steps disagree under aggregation "
-            f"on {{{', '.join(atom_to_str(a) for a in atom_sorted(x))}}}")
+    if stepped not in checked:
+        closed = close_answer_groups(specs, stepped, fuel)
+        if closed is not stepped and aggregate_atoms(specs, closed) != lhs:
+            raise InternalInconsistencyError(
+                "plain and join-extended steps disagree under aggregation "
+                f"on {{{', '.join(atom_to_str(a) for a in atom_sorted(x))}}}")
+        checked.add(stepped)
     collapsed = table_atoms(specs, aggregate(x))
     if collapsed == x:
         return lhs, lhs
@@ -356,9 +361,10 @@ def check_greedy_soundness(program: Program, strategy: CheckStrategy,
         raise ValueError(f"unknown strategy {strategy.kind!r}")
 
     tested = 0
+    checked = set()
     try:
         for x in subsets:
-            lhs, rhs = _compare(x, step, aggregate, specs, fuel)
+            lhs, rhs = _compare(x, step, aggregate, specs, fuel, checked)
             tested += 1
             if lhs != rhs:
                 return CheckReport(VIOLATION, CONDITION, universe, strategy, tested,

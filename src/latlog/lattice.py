@@ -102,6 +102,8 @@ class MinLattice(LatticeSpec):
     selective = True
 
     def join(self, x, y):
+        if type(x) is Int and type(y) is Int:  # the term order on two integers
+            return x if x.value <= y.value else y
         return x if term_key(x) <= term_key(y) else y
 
 
@@ -109,6 +111,8 @@ class MaxLattice(MinLattice):
     kind = "max"
 
     def join(self, x, y):
+        if type(x) is Int and type(y) is Int:
+            return x if x.value >= y.value else y
         return x if term_key(x) >= term_key(y) else y
 
 

@@ -218,35 +218,94 @@ def immediate_step(clauses, atoms) -> frozenset:
 
 
 def _close_group(spec, values, new_values, budget):
-    """Close one answer group's value set under the join, in place.
+    """Add `new_values` to one answer group's value set, which is closed
+    under the join, and close it again, in place.
 
-    Returns the values actually added. Lattices whose join always
-    returns one of its operands cannot create anything, so they skip
-    the pairwise probing outright. Under a join table that leaves a
-    pair undefined, the walk goes in the term order of the values.
+    Returns the values the join created: the new closure minus the old
+    values minus `new_values`. That set does not depend on the order in
+    which the values arrive. Raises `_BudgetExceeded` when the join
+    creates a value and the closure holds more than `budget` values.
+
+    Under a total join one round suffices. If C is closed, so is
+    C | {x} | {x v y : y in C}, since (x v y) v (x v z) = x v (y v z)
+    and y v z is in C. So each new value that the set does not hold yet
+    joins once with a snapshot of the set as it stands, and the values
+    it creates are never joined again. Under a join table that leaves
+    some pair undefined, a join may fail in one order and succeed in
+    another, so the frontier loop runs instead: every created value
+    joins the whole set in turn, and both walk the values in their
+    term order, so that the undefined pair an error names is the same
+    on every run.
     """
-    fresh = [v for v in new_values if v not in values]
-    values.update(fresh)
     lattice = spec.lattice
-    if lattice.selective:
-        return fresh
-    walk = list if lattice.total else partial(
-        sorted, key=lambda v: term_key(lattice.represent(v)))
-    added = []
-    frontier = walk(fresh) if len(values) > len(fresh) else walk(values)
+    new_values = set(new_values)
+    created = []
+    if lattice.total:
+        for x in new_values:
+            if x in values:
+                continue
+            snapshot = tuple(values)
+            values.add(x)
+            for y in snapshot:
+                j = join_values(lattice, x, y)
+                if j not in values:
+                    values.add(j)
+                    if j not in new_values:
+                        created.append(j)
+                        if len(values) > budget:
+                            raise _BudgetExceeded
+        # new values added after the last created one count as well
+        if created and len(values) > budget:
+            raise _BudgetExceeded
+        return created
+    fresh = new_values - values
+    values |= fresh
+    walk = partial(sorted, key=lambda v: term_key(lattice.represent(v)))
+    frontier = walk(fresh)
     while frontier:
         next_frontier = []
         for x in frontier:
             for y in walk(values):
-                j = join_values(spec.lattice, x, y)
+                j = join_values(lattice, x, y)
                 if j not in values:
                     values.add(j)
                     next_frontier.append(j)
-                    added.append(j)
+                    created.append(j)
                     if len(values) > budget:
                         raise _BudgetExceeded
         frontier = next_frontier
-    return added
+    return created
+
+
+def _group_values(specs, atoms, ordered):
+    """The values a set of atoms brings to the answer groups it
+    touches, as (spec, key, values) in the order the closure takes them.
+
+    Groups under a selective lattice cannot gain a value from the join,
+    so their atoms are left out; they are only abstracted where the
+    lattice's domain can reject them. When `ordered`, each atom comes
+    alone, in atom order, and is abstracted only once the one before it
+    has been closed. Otherwise each group comes once with all of its
+    values.
+    """
+    batches = {}
+    for atom in atom_sorted(atoms) if ordered else atoms:
+        spec = specs[atom.pred]
+        lattice = spec.lattice
+        if lattice.selective:
+            if lattice.checks_domain:
+                spec.abstract_atom(atom)
+            continue
+        key = spec.key_of(atom)
+        if ordered:
+            yield spec, key, (spec.abstract_atom(atom),)
+            continue
+        batch = batches.get(key)
+        if batch is None:
+            batches[key] = batch = (spec, [])
+        batch[1].append(spec.abstract_atom(atom))
+    for key, (spec, values) in batches.items():
+        yield spec, key, values
 
 
 def close_answer_groups(specs, atoms, budget) -> frozenset:
@@ -258,14 +317,8 @@ def close_answer_groups(specs, atoms, budget) -> frozenset:
     a value and are skipped. When no group gains one, the result is
     `atoms` itself.
     """
-    groups = {}
-    for atom in atoms:
-        spec = specs[atom.pred]
-        if not spec.lattice.selective:
-            groups.setdefault(spec.key_of(atom), set()).add(spec.abstract_atom(atom))
     added = set()
-    for key, values in groups.items():
-        spec = specs[key[0]]
+    for spec, key, values in _group_values(specs, atoms, False):
         for v in _close_group(spec, set(), values, budget):
             added.add(spec.atom_of(key, v))
     return frozenset(atoms).union(added) if added else atoms
@@ -281,12 +334,15 @@ def stratum_lfp(clauses, specs, fuel) -> FixpointResult:
     Iterating x := x | close(T(x)) from the empty set defines it (the
     tests keep that naive loop as the oracle). The interpretation only
     ever grows, so each iteration needs just the firings that read at
-    least one atom of the last delta, and each answer group's closure
-    only has to absorb the new values. A group under a selective
-    lattice cannot gain a value from the join, so its atoms skip the
-    group bookkeeping; they are only abstracted where the lattice's
-    domain can reject them. The chain of interpretations and the
-    step count match the naive loop exactly.
+    least one atom of the last delta. Each answer group's value set is
+    kept closed under the join, so it only has to absorb the delta's
+    new values: `_close_group` closes each group once per delta, with
+    all of them, in one round under a total join. Under a join table
+    that leaves some pair undefined, the delta instead comes one atom
+    at a time in atom order and each group keeps the frontier loop, so
+    that the undefined pair an error names does not depend on set
+    order. The chain of interpretations and the step count match the
+    naive loop exactly.
     """
     atoms = set()
     idx = _AtomIndex()      # everything derived so far
@@ -295,8 +351,6 @@ def stratum_lfp(clauses, specs, fuel) -> FixpointResult:
     groups = {}
     steps = 0
     delta = None
-    # under a partial join table, a group's closure fed one value at a
-    # time must meet the same undefined pair first on every run
     ordered = not all(spec.lattice.total for spec in specs.values())
 
     while steps < fuel:
@@ -307,16 +361,9 @@ def stratum_lfp(clauses, specs, fuel) -> FixpointResult:
 
         new_atoms = set(tp_delta)
         try:
-            for atom in atom_sorted(tp_delta) if ordered else tp_delta:
-                spec = specs[atom.pred]
-                lattice = spec.lattice
-                if lattice.selective:
-                    if lattice.checks_domain:
-                        spec.abstract_atom(atom)
-                    continue
-                key = spec.key_of(atom)
+            for spec, key, batch in _group_values(specs, tp_delta, ordered):
                 values = groups.setdefault(key, set())
-                for v in _close_group(spec, values, (spec.abstract_atom(atom),), fuel):
+                for v in _close_group(spec, values, batch, fuel):
                     new_atoms.add(spec.atom_of(key, v))
         except _BudgetExceeded:
             return FixpointResult(False, frozenset(atoms), steps)

@@ -1,5 +1,6 @@
 import pathlib
 import random
+from functools import partial
 
 import pytest
 
@@ -19,11 +20,10 @@ from latlog.reference import (
     FixpointResult,
     StratumResult,
     _BudgetExceeded,
-    close_answer_groups,
     immediate_step,
 )
 from latlog.stratify import stratify, stratum_clauses
-from latlog.terms import atom_sorted
+from latlog.terms import atom_sorted, term_key
 
 CORPUS = pathlib.Path(latlog.__file__).parent / "corpus"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -90,9 +90,53 @@ def recompute_sides(program, witness, fuel):
     atoms = frozenset(witness)
     stepped = immediate_step(program.clauses, atoms)
     lhs = aggregate_atoms(specs, stepped)
-    assert lhs == aggregate_atoms(specs, close_answer_groups(specs, stepped, fuel))
+    assert lhs == aggregate_atoms(specs, frontier_close_groups(specs, stepped, fuel))
     collapsed = table_atoms(specs, aggregate_atoms(specs, atoms))
     return lhs, aggregate_atoms(specs, immediate_step(program.clauses, collapsed))
+
+
+# --- the join closure's frontier loop: the oracle for the one-round closure ---
+
+
+def frontier_close(spec, values, new_values, budget):
+    """Add `new_values` to a group's closed value set and close it
+    again, in place, by joining every added value with the whole set
+    until nothing new appears. Returns the values the join added."""
+    fresh = [v for v in new_values if v not in values]
+    values.update(fresh)
+    lattice = spec.lattice
+    walk = list if lattice.total else partial(
+        sorted, key=lambda v: term_key(lattice.represent(v)))
+    added = []
+    frontier = walk(fresh) if len(values) > len(fresh) else walk(values)
+    while frontier:
+        next_frontier = []
+        for x in frontier:
+            for y in walk(values):
+                j = join_values(spec.lattice, x, y)
+                if j not in values:
+                    values.add(j)
+                    next_frontier.append(j)
+                    added.append(j)
+                    if len(values) > budget:
+                        raise _BudgetExceeded
+        frontier = next_frontier
+    return added
+
+
+def frontier_close_groups(specs, atoms, budget) -> frozenset:
+    """`close_answer_groups`, with each group closed by `frontier_close`."""
+    groups = {}
+    for atom in atoms:
+        spec = specs[atom.pred]
+        if not spec.lattice.selective:
+            groups.setdefault(spec.key_of(atom), set()).add(spec.abstract_atom(atom))
+    added = set()
+    for key, values in groups.items():
+        spec = specs[key[0]]
+        for v in frontier_close(spec, set(), values, budget):
+            added.add(spec.atom_of(key, v))
+    return frozenset(atoms).union(added) if added else atoms
 
 
 # --- the reference engine's naive loop: the oracle for its delta loop --------
@@ -100,7 +144,7 @@ def recompute_sides(program, witness, fuel):
 
 def join_extended_step(clauses, specs, atoms, budget) -> frozenset:
     """The immediate step, with each answer group closed under its join."""
-    return close_answer_groups(specs, immediate_step(clauses, atoms), budget)
+    return frontier_close_groups(specs, immediate_step(clauses, atoms), budget)
 
 
 def kleene_fixpoint(step, start, fuel, size_of=len) -> FixpointResult:

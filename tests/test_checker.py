@@ -19,7 +19,7 @@ from latlog.checker import (
     check_greedy_soundness,
     diff_semantics,
 )
-from latlog.errors import LatlogError
+from latlog.errors import InternalInconsistencyError, LatlogError
 from latlog.parser import parse_program
 from latlog.terms import Atom, Int, Symbol
 
@@ -241,6 +241,39 @@ def test_every_tested_subset_matches_the_oracle(name, strategy, monkeypatch):
         assert report.tested == sum(not isinstance(got, type) for _, got in seen)
     if name.startswith("tiny-"):  # small enough that every strategy compares
         assert seen
+
+
+# Four groups p(kI,a), p(kI,b) under a join table that leaves b v d and
+# c v d undefined: a universe of 12 atoms, whose 4096 subsets all step
+# to the same eight facts.
+PARTIAL_TABLE = """j(a,b,c). j(a,c,c). j(b,c,c). j(a,d,d).
+:- table p(index,lattice(j/3)).
+p(k1,a). p(k1,b). p(k2,a). p(k2,b). p(k3,a). p(k3,b). p(k4,a). p(k4,b).
+"""
+
+
+def test_each_distinct_step_is_cross_checked_once(monkeypatch):
+    calls = []
+    close = checker.close_answer_groups
+
+    def counting(specs, atoms, budget):
+        calls.append(atoms)
+        return close(specs, atoms, budget)
+
+    monkeypatch.setattr(checker, "close_answer_groups", counting)
+    report = check_greedy_soundness(parse_program(PARTIAL_TABLE), EXHAUSTIVE)
+    assert (report.verdict, len(report.universe.atoms), report.tested) == (
+        NO_VIOLATION, 12, 4096)
+    assert len(calls) == 1
+
+    # the cross-check still runs, and still catches a closure that
+    # disagrees with the plain step
+    def broken(specs, atoms, budget):
+        return close(specs, atoms, budget) | {Atom("p", (Symbol("k5"), Symbol("a")))}
+
+    monkeypatch.setattr(checker, "close_answer_groups", broken)
+    with pytest.raises(InternalInconsistencyError):
+        check_greedy_soundness(parse_program(PARTIAL_TABLE), EXHAUSTIVE)
 
 
 # --- the differ -------------------------------------------------------------

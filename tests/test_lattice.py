@@ -35,7 +35,7 @@ from latlog.lattice import (
     value_to_str,
 )
 from latlog.parser import parse_program
-from latlog.terms import Atom, Int, ListTerm, Symbol, atom_sorted
+from latlog.terms import Atom, Compound, Int, ListTerm, Symbol, atom_sorted, term_key
 
 
 def sym(*names):
@@ -56,6 +56,26 @@ def lub():
 def test_min_join_takes_lesser():
     assert join_values(MinLattice(), Int(1), Int(2)) == Int(1)
     assert join_values(MaxLattice(), Int(1), Int(2)) == Int(2)
+
+
+def test_min_max_joins_follow_the_term_order():
+    # two integers are compared by value, any other pair by term_key
+    rng = random.Random(1313)
+
+    def term():
+        r = rng.random()
+        if r < 0.6:
+            return Int(rng.randint(-5, 5))
+        if r < 0.8:
+            return Symbol(rng.choice("abc"))
+        return Compound("f", (Int(rng.randint(0, 2)),))
+
+    for _ in range(300):
+        x, y = term(), term()
+        lesser = x if term_key(x) <= term_key(y) else y
+        greater = x if term_key(x) >= term_key(y) else y
+        assert MinLattice().join(x, y) is lesser
+        assert MaxLattice().join(x, y) is greater
 
 
 def test_user_join_lookup(lub):

@@ -3,16 +3,21 @@
 Each suite draws at least a thousand cases from its own Random. They
 run against hand-built value generators (for the lattice laws) and
 against small fuel-bounded atom pools taken from the corpus programs
-(for the operator properties), so failures print concrete atoms.
+(for the operator properties), so failures print concrete atoms. The
+join closure is checked against its frontier-loop oracle with
+Hypothesis, which shrinks a failing value set to a small one.
 """
 
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     CORPUS_FILES,
     aggregate_model,
+    frontier_close,
     join_extended_step,
     leq_values,
     load,
@@ -20,6 +25,7 @@ from conftest import (
     table_leq,
 )
 from latlog.greedy import greedy_step
+from latlog.errors import JoinUndefinedError
 from latlog.lattice import (
     BOTTOM,
     INFTY,
@@ -29,6 +35,7 @@ from latlog.lattice import (
     MaxLattice,
     MinLattice,
     PoLattice,
+    PredSpec,
     ProductLattice,
     UserJoinLattice,
     aggregate_atoms,
@@ -37,6 +44,8 @@ from latlog.lattice import (
     table_atoms,
 )
 from latlog.reference import (
+    _BudgetExceeded,
+    _close_group,
     close_answer_groups,
     immediate_step,
     stratum_lfp,
@@ -227,3 +236,65 @@ def test_greedy_step_is_monotone_for_condition_satisfying_programs(pools):
         assert table_leq(specs, t, u)
         assert table_leq(specs, greedy_step(prog.clauses, specs, t),
                          greedy_step(prog.clauses, specs, u))
+
+
+# --- the one-round join closure against the frontier loop ---------------------
+
+
+_ints = st.integers(-6, 6).map(Int)
+_syms = st.sampled_from("abcd").map(Symbol)
+
+
+def _user_join(rows):
+    return UserJoinLattice("j", frozenset(
+        (Symbol(x), Symbol(y), Symbol(z)) for x, y, z in rows))
+
+
+# (lattice, strategy for its values). The user joins are the lub table
+# of lub_lattice.pl, total on its carrier, and a table that leaves b v d
+# and c v d undefined, which keeps the frontier loop.
+CLOSURE_CASES = {
+    "min-max": (ProductLattice((MinLattice(), MaxLattice())), st.tuples(_ints, _ints)),
+    "min-max-terms": (ProductLattice((MinLattice(), MaxLattice())),
+                      st.tuples(st.one_of(_ints, _syms), st.one_of(_ints, _syms))),
+    "all": (AllLattice(), st.frozensets(st.one_of(_ints, _syms), min_size=1, max_size=3)),
+    "po": (DIAMOND, st.frozensets(_syms, min_size=1, max_size=3).map(DIAMOND.prune)),
+    "total-user-join": (_user_join(["abc", "acc", "add", "bcc", "bdd", "cdd"]), _syms),
+    "partial-user-join": (_user_join(["abc", "acc", "bcc", "add"]), _syms),
+}
+
+
+def _close_outcome(close, spec, old, new_values, budget):
+    """(closure, created values) after closing `old` with `new_values`,
+    or the exception the closure raised."""
+    values = set(old)
+    try:
+        created = close(spec, values, new_values, budget)
+    except (_BudgetExceeded, JoinUndefinedError) as e:
+        return type(e).__name__, str(e)
+    return frozenset(values), frozenset(created)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.sampled_from(sorted(CLOSURE_CASES)))
+def test_one_round_closure_matches_the_frontier_loop(data, case):
+    # the group holds a closed set, so the old values are closed first;
+    # the budget ranges from below the new closure's size to just above it
+    lattice, values = CLOSURE_CASES[case]
+    spec = PredSpec("p", 1, (), (0,), lattice)
+    old = set()
+    try:
+        frontier_close(spec, old, data.draw(st.lists(values, max_size=6), "old"), 10**6)
+    except JoinUndefinedError:
+        assume(False)
+    new_values = data.draw(st.lists(values, max_size=6, unique=True), "new")
+    closure = _close_outcome(frontier_close, spec, old, new_values, 10**6)[0]
+    size = len(closure) if isinstance(closure, frozenset) else 40
+    budget = data.draw(st.integers(0, size + 1), "budget")
+    expected = _close_outcome(frontier_close, spec, old, new_values, budget)
+    assert _close_outcome(_close_group, spec, old, new_values, budget) == expected
+    shuffled = data.draw(st.permutations(new_values), "shuffled")
+    assert _close_outcome(_close_group, spec, old, shuffled, budget) == expected
+    if isinstance(expected[0], frozenset):
+        closure, created = expected
+        assert created == closure - old - set(new_values)

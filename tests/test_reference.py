@@ -1,5 +1,9 @@
 """The two step operators, fueled iteration, and stratified evaluation."""
 
+import os
+import pathlib
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -13,6 +17,7 @@ from conftest import (
     naive_reference_semantics,
     random_dag_program,
 )
+import latlog.reference
 from latlog.lattice import build_specs, join_values, table_atoms
 from latlog.parser import parse_program
 from latlog.reference import (
@@ -290,3 +295,49 @@ def test_incremental_loop_matches_the_naive_one(name, fuel, programs):
     assert fast.steps == slow.steps
     assert fast.diverged_stratum == slow.diverged_stratum
     assert fast.table.entries == slow.table.entries
+
+
+# A 12-node DAG under (min, max): a chain, plus skip edges.
+MINMAX_DAG = ":- table p(index,index,min,max).\n" + "".join(
+    f"e(n{i},n{j}).\n" for i, j in
+    [(i, i + 1) for i in range(11)] + [(0, 3), (1, 5), (2, 4), (3, 8), (4, 7),
+                                       (5, 9), (6, 10), (7, 11), (2, 9)]) + (
+    "p(X,Y,1,1) :- e(X,Y).\n"
+    "p(X,Y,A,B) :- p(X,Z,A1,B1), e(Z,Y), A is A1+1, B is B1+1.\n")
+
+_COUNT_CREATED = """
+import sys
+import latlog.reference as reference
+from latlog.parser import parse_program
+
+close = reference._close_group
+created = 0
+
+
+def counting(*args):
+    global created
+    out = close(*args)
+    created += len(out)
+    return out
+
+
+reference._close_group = counting
+outcome = reference.stratified_reference_semantics(parse_program(sys.stdin.read()))
+print(created, outcome.steps, len(outcome.answers))
+"""
+
+
+def test_join_created_count_does_not_depend_on_the_hash_seed():
+    # the values each delta's closure creates are counted without the
+    # ones inference also derives in that delta, whatever order the
+    # delta's atoms come in
+    src = str(pathlib.Path(latlog.reference.__file__).parents[1])
+    outputs = set()
+    for seed in ("1", "2", "3", "4"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _COUNT_CREATED], input=MINMAX_DAG,
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src})
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
+    assert int(outputs.pop().split()[0]) > 0
