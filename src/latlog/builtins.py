@@ -1,72 +1,77 @@
-"""Arithmetic and comparison builtins over bound terms."""
+"""Arithmetic and comparison builtins, compiled into tests on a clause
+plan's slot list (see `reference`), which raise what the builtin raises,
+left to right. `is` refuses a result of more than MAX_INT_DIGITS digits."""
 
 from __future__ import annotations
 
+import operator
+
 from .errors import ArithmeticTypeError
-from .program import Builtin, Compound, Var, pattern_to_str, substitute
+from .program import Compound, Var, pattern_to_str, term_builder, unbound
 from .terms import MAX_INT_DIGITS, Int, term_to_str
 
 _INT_BOUND = 10 ** MAX_INT_DIGITS
 
-_BINOPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "min": min,
-    "max": max,
-}
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "min": min, "max": max}
 
-COMPARISONS = {
-    "<": lambda a, b: a < b,
-    "=<": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+COMPARISONS = {"<": operator.lt, "=<": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def eval_arith(p, bindings) -> int:
-    """Evaluate an arithmetic expression pattern to an integer."""
-    # tested in order of frequency: variables, then operators, then literals
+def _arith(p, slots):
+    """A function of the slot list evaluating expression `p` to an int."""
     if isinstance(p, Var):
-        t = bindings.get(p.name)
-        if isinstance(t, Int):
-            return t.value
-        if t is None:
-            t = substitute(p, bindings)  # raises the unbound-variable error
-        raise ArithmeticTypeError(f"arithmetic on non-integer {term_to_str(t)}")
-    if isinstance(p, Compound):
-        if len(p.args) == 2:
-            op = _BINOPS.get(p.functor)
-            if op is not None:
-                return op(eval_arith(p.args[0], bindings), eval_arith(p.args[1], bindings))
-        elif p.functor == "-" and len(p.args) == 1:
-            return -eval_arith(p.args[0], bindings)
-    elif isinstance(p, Int):
-        return p.value
-    raise ArithmeticTypeError(f"not an arithmetic expression: {pattern_to_str(p)}")
+        s = slots.get(p.name)
+        if s is None:
+            return unbound(p.name)
+
+        def var(sl):
+            t = sl[s]
+            if isinstance(t, Int):
+                return t.value
+            raise ArithmeticTypeError(f"arithmetic on non-integer {term_to_str(t)}")
+        return var
+    if isinstance(p, Int):
+        return lambda sl: p.value
+    if isinstance(p, Compound) and len(p.args) == 2 and p.functor in _BINOPS:
+        return _binary(_BINOPS[p.functor], *p.args, slots)
+    if isinstance(p, Compound) and len(p.args) == 1 and p.functor == "-":
+        f = _arith(p.args[0], slots)
+        return lambda sl: -f(sl)
+    message = f"not an arithmetic expression: {pattern_to_str(p)}"
+
+    def fail(sl):
+        raise ArithmeticTypeError(message)
+    return fail
 
 
-def eval_builtin(lit: Builtin, bindings):
-    """Evaluate a builtin under the given bindings.
+def _binary(op, lhs, rhs, slots):
+    f, g = _arith(lhs, slots), _arith(rhs, slots)
+    return lambda sl: op(f(sl), g(sl))  # the left side first
 
-    Returns the (possibly extended) bindings on success, None on failure.
-    `is` binds its left side when it is an unbound variable, otherwise
-    it checks for equality with the evaluated right side. A result of
-    more than MAX_INT_DIGITS digits is an error.
-    """
+
+def builtin_test(lit, slots, new_slot):
+    """A function of the slot list telling whether builtin `lit` holds. An
+    `is` binds a left-side variable not in `slots` to a slot from `new_slot`."""
     lhs, rhs = lit.args
-    if lit.op == "is":
-        n = eval_arith(rhs, bindings)
-        if not -_INT_BOUND < n < _INT_BOUND:
-            raise ArithmeticTypeError(
-                f"{pattern_to_str(rhs)} has more than {MAX_INT_DIGITS} digits")
-        value = Int(n)
-        if isinstance(lhs, Var) and lhs.name not in bindings:
-            out = dict(bindings)
-            out[lhs.name] = value
-            return out
-        return bindings if substitute(lhs, bindings) == value else None
     if lit.op == "=":
-        return bindings if substitute(lhs, bindings) == substitute(rhs, bindings) else None
-    cmp = COMPARISONS[lit.op]
-    return bindings if cmp(eval_arith(lhs, bindings), eval_arith(rhs, bindings)) else None
+        left, right = term_builder(lhs, slots), term_builder(rhs, slots)
+        return lambda sl: left(sl) == right(sl)
+    if lit.op != "is":
+        return _binary(COMPARISONS[lit.op], lhs, rhs, slots)
+    f = _arith(rhs, slots)
+    too_long = f"{pattern_to_str(rhs)} has more than {MAX_INT_DIGITS} digits"
+
+    def value(sl):
+        n = f(sl)
+        if abs(n) < _INT_BOUND:
+            return Int(n)
+        raise ArithmeticTypeError(too_long)
+    if isinstance(lhs, Var) and lhs.name not in slots:
+        s = slots[lhs.name] = new_slot()
+
+        def bind(sl):
+            sl[s] = value(sl)
+            return True
+        return bind
+    left = term_builder(lhs, slots)
+    return lambda sl: value(sl) == left(sl)  # the value first, as `is` has it

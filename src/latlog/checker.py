@@ -66,6 +66,7 @@ from .reference import (
     _AtomIndex,
     _BudgetExceeded,
     _fire_delta,
+    clause_plans,
     close_answer_groups,
     evaluate_strata,
     immediate_step,
@@ -178,6 +179,7 @@ class _FiringTable:
                     args.extend(lit.args)
             self._recording.append(Clause(Call(f"$fired{i}", tuple(args)), clause.body))
             self._decode[f"$fired{i}"] = (clause, spans)
+        self._recording = clause_plans(self._recording)
         self._raised = set()  # the clauses left out, by position
         idx = _AtomIndex()
         self._fire(idx, None)  # over the empty pool: the bodyless firings
@@ -191,7 +193,8 @@ class _FiringTable:
                 self._fire(idx, delta)
             if max_firings is not None and len(self._seen) > max_firings:
                 raise _TableTooLarge
-        self.direct = tuple(c for i, c in enumerate(clauses) if i in self._raised)
+        self._plans = clause_plans(clauses)  # for the steps taken directly
+        self.direct = tuple(p for i, p in enumerate(self._plans) if i in self._raised)
 
         # (key, lattice, value) per atom, where abstracting it does not raise
         self.info = {}
@@ -208,11 +211,11 @@ class _FiringTable:
         live = [i for i in range(len(self.clauses)) if i not in self._raised]
         fired = set()
         try:
-            _fire_delta([self._recording[i] for i in live], idx, fired, delta, idx)
+            _fire_delta([self._recording[i] for i in live], idx, fired, delta)
         except LatlogError:  # fire clause by clause, to leave out those that raise
             for i in live:
                 try:
-                    _fire_delta((self._recording[i],), idx, fired, delta, idx)
+                    _fire_delta((self._recording[i],), idx, fired, delta)
                 except LatlogError:
                     self._raised.add(i)
         canon = self._canon
@@ -238,7 +241,7 @@ class _FiringTable:
         for a in atoms:
             bucket = filed.get(a)
             if bucket is None:
-                return immediate_step(self.clauses, atoms)
+                return immediate_step(self._plans, atoms)
             for body, head in bucket:
                 if body <= atoms:
                     out.add(head)
@@ -297,9 +300,10 @@ def _trace_subsets(program, specs, fuel):
     seen = set()
     out = []
     for clauses, tables in sink:
+        plans = clause_plans(clauses)
         for t in tables:
             atoms = table_atoms(specs, t)
-            for x in (atoms, immediate_step(clauses, atoms)):
+            for x in (atoms, immediate_step(plans, atoms)):
                 if x not in seen:
                     seen.add(x)
                     out.append(x)
@@ -324,7 +328,8 @@ def check_greedy_soundness(program: Program, strategy: CheckStrategy,
     cap = strategy.max_atoms if strategy.kind == "exhaustive" else fuel
     universe = atom_universe(program, fuel, cap)
 
-    step, aggregate = partial(immediate_step, clauses), partial(aggregate_atoms, specs)
+    step = partial(immediate_step, clause_plans(clauses))
+    aggregate = partial(aggregate_atoms, specs)
     if strategy.kind == "exhaustive":
         if not universe.complete:
             reason = (f"universe did not converge to at most {strategy.max_atoms} "

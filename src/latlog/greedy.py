@@ -38,6 +38,7 @@ from .reference import (
     FixpointResult,
     _AtomIndex,
     _fire_delta,
+    clause_plans,
     evaluate_strata,
     immediate_step,
 )
@@ -55,6 +56,7 @@ def greedy_fixpoint(clauses, specs, fuel, trace=None) -> FixpointResult:
     loop forces an upward chain by construction. `trace` collects every
     table along the run for the checker's trace strategy.
     """
+    plans = clause_plans(clauses)
     entries = {}
     idx = _AtomIndex()  # the atoms of the current table
     delta = None        # the atoms the last step added; None before the first
@@ -63,9 +65,7 @@ def greedy_fixpoint(clauses, specs, fuel, trace=None) -> FixpointResult:
     steps = 0
     while steps < fuel:
         derived = set()
-        # idx as the "old" index too: γ(t) is not monotone, and firings
-        # that read two delta atoms are merely found twice
-        _fire_delta(clauses, idx, derived, delta, idx)
+        _fire_delta(plans, idx, derived, delta)
         steps += 1
         delta = []
         for key, value in aggregate_atoms(specs, derived).entries.items():

@@ -286,7 +286,7 @@ class ProductLattice(LatticeSpec):
         object.__setattr__(self, "total", all(p.total for p in self.parts))
 
     def join(self, x, y):
-        return tuple(p.join(a, b) for p, a, b in zip(self.parts, x, y))
+        return tuple([p.join(a, b) for p, a, b in zip(self.parts, x, y)])
 
     def abstract(self, term):
         if not isinstance(term, ListTerm) or len(term.elements) != len(self.parts):

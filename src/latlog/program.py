@@ -7,6 +7,8 @@ interpretation are always ground; variables only live in clauses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 
 from .errors import LatlogError
 from .terms import Atom, Compound, Int, ListTerm, Symbol, term_to_str
@@ -95,60 +97,51 @@ def is_ground(p):
     return not pattern_vars(p)
 
 
-def substitute(p, bindings):
-    """Replace variables by their bindings, producing a ground term."""
+def unbound(name):
+    """A compiled variable that nothing binds: it raises when used."""
+    def fail(*_):
+        raise LatlogError(f"unbound variable {name}")
+    return fail
+
+
+def term_builder(p, slots):
+    """A function of a slot list building pattern `p` from its slots."""
     if isinstance(p, Var):
-        try:
-            return bindings[p.name]
-        except KeyError:
-            raise LatlogError(f"unbound variable {p.name}") from None
-    if isinstance(p, Compound):
-        return Compound(p.functor, tuple(substitute(a, bindings) for a in p.args))
-    if isinstance(p, ListTerm):
-        return ListTerm(tuple(substitute(e, bindings) for e in p.elements))
-    return p
+        s = slots.get(p.name)
+        return unbound(p.name) if s is None else itemgetter(s)
+    if is_ground(p):
+        return lambda sl: p
+    parts = [term_builder(a, slots) for a in _parts(p)]
+    make = partial(Compound, p.functor) if isinstance(p, Compound) else ListTerm
+    return lambda sl: make(tuple([b(sl) for b in parts]))
 
 
-def _bind(pattern, term, bindings):
-    # destructive matching; the caller owns `bindings` and discards it
-    # on failure, so partial binds need no undo
-    if isinstance(pattern, Var):
-        bound = bindings.get(pattern.name)
-        if bound is None:
-            bindings[pattern.name] = term
+def term_matcher(p, slots, new_slot):
+    """A function (ground term, slot list) -> bool matching pattern `p`.
+    A variable in `slots` must equal the term; any other is bound to a
+    slot from `new_slot`, which a failed match may leave written."""
+    if isinstance(p, Var):
+        s = slots.get(p.name)
+        if s is not None:
+            return lambda t, sl: t == sl[s]
+        s = slots[p.name] = new_slot()
+
+        def bind(t, sl):
+            sl[s] = t
             return True
-        return bound == term
-    if isinstance(pattern, Compound):
-        return (isinstance(term, Compound)
-                and term.functor == pattern.functor
-                and len(term.args) == len(pattern.args)
-                and all(_bind(p, t, bindings)
-                        for p, t in zip(pattern.args, term.args)))
-    if isinstance(pattern, ListTerm):
-        return (isinstance(term, ListTerm)
-                and len(term.elements) == len(pattern.elements)
-                and all(_bind(p, t, bindings)
-                        for p, t in zip(pattern.elements, term.elements)))
-    return pattern == term
+        return bind
+    if is_ground(p):
+        return lambda t, sl: t == p
+    shape, parts = _shape(p), [term_matcher(a, slots, new_slot) for a in _parts(p)]
+    return lambda t, sl: _shape(t) == shape and all(m(a, sl) for m, a in zip(parts, _parts(t)))
 
 
-def match_seq(patterns, terms, bindings):
-    """One-way matching of patterns against ground terms, pairwise.
+def _parts(t):
+    return getattr(t, "args", None) or getattr(t, "elements", ())
 
-    Returns the extended bindings, or None if they do not match.
-    Already-bound variables must agree with the terms.
-    """
-    out = dict(bindings)
-    for p, t in zip(patterns, terms):
-        if isinstance(p, Var):  # the common case, inlined from _bind
-            bound = out.get(p.name)
-            if bound is None:
-                out[p.name] = t
-            elif bound != t:
-                return None
-        elif not _bind(p, t, out):
-            return None
-    return out
+
+def _shape(t):
+    return type(t), getattr(t, "functor", None), len(_parts(t))
 
 
 def fact_clause(atom: Atom) -> Clause:

@@ -10,6 +10,12 @@ strata's answers as plain facts. The greedy engine and the checker's
 universe run it too, each with a fixpoint of its own; here it is the
 join-extended step's, aggregated once.
 
+Rules fire through plans: `_compile` turns a clause, for one pivot
+(the call that reads the newest atoms), into closures over a list of
+variable slots. Each call reads the index bucket its bound positions
+select, binds its variables by slot and runs the builtins after it;
+the last adds the head. A fixpoint or check compiles on first use.
+
 Divergence is an outcome, not a hang. `fuel` bounds the number of
 operator applications and also the size the interpretation may reach,
 since a geometrically exploding model would otherwise outlive any
@@ -20,9 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 
-from .builtins import eval_builtin
-from .errors import DomainError
+from .builtins import builtin_test
+from .errors import LatlogError
 from .lattice import (
     AnswerTable,
     aggregate_atoms,
@@ -31,7 +38,16 @@ from .lattice import (
     join_values,
     table_atoms,
 )
-from .program import Call, Program, Var, fact_clause, match_seq, substitute
+from .program import (
+    Builtin,
+    Call,
+    Program,
+    Var,
+    fact_clause,
+    pattern_vars,
+    term_builder,
+    term_matcher,
+)
 from .stratify import stratify, stratum_clauses
 from .terms import Atom, Int, Symbol, atom_sorted, term_key
 
@@ -87,7 +103,7 @@ class _AtomIndex:
 
     def __init__(self, atoms=()):
         self.by_pred = {}
-        self.by_args = {}  # pred -> {bound positions: {their arguments: atoms}}
+        self.by_args = {}  # pred -> {positions: (their itemgetter, {its value: atoms})}
         for a in atoms:
             self.add(a)
 
@@ -100,8 +116,8 @@ class _AtomIndex:
         indexes = self.by_args.get(atom.pred)
         if indexes:
             args = atom.args
-            for positions, buckets in indexes.items():
-                key = tuple([args[i] for i in positions])
+            for pick, buckets in indexes.values():
+                key = pick(args)
                 bucket = buckets.get(key)
                 if bucket is None:
                     buckets[key] = {atom}
@@ -111,104 +127,149 @@ class _AtomIndex:
     def discard(self, atom):
         """Forget an indexed atom, so it can no longer fire anything."""
         self.by_pred[atom.pred].discard(atom)
-        args = atom.args
-        for positions, buckets in self.by_args.get(atom.pred, {}).items():
-            buckets[tuple([args[i] for i in positions])].discard(atom)
+        for pick, buckets in self.by_args.get(atom.pred, {}).values():
+            buckets[pick(atom.args)].discard(atom)
 
-    def candidates(self, call, bindings):
-        """The atoms that agree with the call's ground arguments, or all
-        of the predicate's atoms when none is ground."""
-        atoms = self.by_pred.get(call.pred)
-        if not atoms:
-            return ()
-        positions = []
-        key = []
-        for i, p in enumerate(call.args):
-            if isinstance(p, Var):
-                p = bindings.get(p.name)
-                if p is None:
-                    continue
-            elif not isinstance(p, (Int, Symbol)):
-                continue  # non-atomic pattern; leave it to the matcher
-            positions.append(i)
-            key.append(p)
+    def lookup(self, pred, positions):
+        """The predicate's atoms, or with `positions` its index on them."""
         if not positions:
-            return atoms
-        positions = tuple(positions)
-        indexes = self.by_args.setdefault(call.pred, {})
-        buckets = indexes.get(positions)
-        if buckets is None:
-            buckets = indexes[positions] = {}
-            for atom in atoms:
-                args = atom.args
-                buckets.setdefault(tuple([args[i] for i in positions]), set()).add(atom)
-        return buckets.get(tuple(key), ())
+            return self.by_pred.get(pred, ())
+        indexes = self.by_args.setdefault(pred, {})
+        if positions not in indexes:
+            pick, buckets = indexes[positions] = itemgetter(*positions), {}
+            for atom in self.by_pred.get(pred, ()):
+                buckets.setdefault(pick(atom.args), set()).add(atom)
+        return indexes[positions][1]
 
 
-def _fire_clause(clause, idx, derived, delta_idx=None, pivot=None, old_idx=None):
-    """All firings of one clause, depth-first over the body literals.
+def clause_plans(clauses):
+    """Each clause with a dict for its plans by pivot, which
+    `_fire_clause` fills. Keep it while one fixpoint or check runs."""
+    return tuple((c, {}) for c in clauses)
 
-    With a pivot, that call literal draws its atoms from `delta_idx`,
-    and the literals before it from `old_idx` (the interpretation as it
-    stood before the delta). Pivoting each call position in turn then
-    finds every firing that uses a delta atom exactly once, at its
-    first delta position.
-    """
-    body = clause.body
-    head = clause.head
-    n = len(body)
-    heads = set()  # argument tuples; many firings derive the same head
 
-    def walk(i, bindings):
-        if i == n:
-            heads.add(tuple([bindings[a.name] if isinstance(a, Var) and a.name in bindings
-                             else substitute(a, bindings) for a in head.args]))
-            return
-        lit = body[i]
-        if isinstance(lit, Call):
-            if pivot is None or i > pivot:
-                pool = idx
-            elif i == pivot:
-                pool = delta_idx
+def _compile(clause, pivot):
+    """A clause's plan for one pivot: run(idx, delta_idx, heads). A call binds
+    its new variables by slot, and matches the rest by `term_matcher`."""
+    if not clause.body and not any(map(pattern_vars, clause.head.args)):  # a fact
+        return lambda idx, delta_idx, heads, args=clause.head.args: heads.add(args)
+    slots = {}                  # variable name -> slot
+    template = [None, None]     # heads, delta_idx, then constants, variables, pools
+    lookups = []                # (pool slot, reads delta_idx, pred, bound positions)
+
+    def new_slot(value=None):
+        template.append(value)
+        return len(template) - 1
+    # `_call_step` arguments by call; a first one reads one empty atom, for leading builtins
+    calls = [[new_slot((Atom("", ()),)), None, itemgetter(slice(0)), 0, 0, None, False, []]]
+    for i, lit in enumerate(clause.body):
+        if isinstance(lit, Builtin):
+            calls[-1][-1].append(builtin_test(lit, slots, new_slot))
+            continue
+        key, fresh, rest, seen = [], [], [], set()
+        for pos, p in enumerate(lit.args):
+            if isinstance(p, Var) and p.name in slots:
+                key.append((pos, slots[p.name]))
+            elif isinstance(p, (Int, Symbol)):
+                key.append((pos, new_slot(p)))
+            elif isinstance(p, Var) and p.name not in seen:
+                fresh.append(pos)
+            else:  # a repeated variable, or a compound or list pattern
+                rest.append(pos)
+            seen |= pattern_vars(p)
+        lo = len(template)
+        for pos in fresh:
+            slots[lit.args[pos].name] = new_slot()
+        single = slice(fresh[0], fresh[0] + 1) if fresh else slice(0)
+        pick = itemgetter(*fresh) if len(fresh) > 1 else itemgetter(single)
+        ms = [(pos, term_matcher(lit.args[pos], slots, new_slot)) for pos in rest]
+        match = (lambda args, sl, ms=ms: all(m(args[pos], sl) for pos, m in ms)) if ms else None
+        k = new_slot()
+        lookups.append((k, i == pivot, lit.pred, tuple(pos for pos, _ in key)))
+        calls.append([k, itemgetter(*[s for _, s in key]) if key else None, pick, lo,
+                      lo + len(fresh), match, pivot is not None and i < pivot and lit.pred, []])
+    args = clause.head.args
+    if all(isinstance(a, Var) and a.name in slots or not pattern_vars(a) for a in args):
+        ks = [slots[a.name] if isinstance(a, Var) else new_slot(a) for a in args]
+        head = itemgetter(*ks) if len(ks) > 1 else lambda sl: tuple([sl[k] for k in ks])
+    else:  # compound patterns, or a variable no literal binds
+        builders = [term_builder(a, slots) for a in args]
+
+        def head(sl):
+            return tuple([b(sl) for b in builders])
+    nxt = None
+    for call in reversed(calls):
+        nxt = _call_step(*call, nxt, head)
+
+    def run(idx, delta_idx, heads):
+        sl = template.copy()
+        sl[0], sl[1] = heads, delta_idx
+        for k, from_delta, pred, positions in lookups:
+            sl[k] = (delta_idx if from_delta else idx).lookup(pred, positions)
+        nxt(sl)
+    return run
+
+
+def _call_step(k, key, pick, lo, hi, match, skip_delta, tests, nxt, head):
+    """One call's loop; `skip_delta` names its predicate if it precedes
+    the pivot. With no `nxt`, the call is the last and adds the head."""
+    def step(sl):
+        pool = sl[k] if key is None else sl[k].get(key(sl), ())
+        heads = sl[0]
+        skip = sl[1].by_pred.get(skip_delta) if skip_delta else None
+        for atom in pool:
+            if skip is not None and atom in skip:
+                continue
+            args = atom.args
+            sl[lo:hi] = pick(args)
+            if match is not None and not match(args, sl):
+                continue
+            for test in tests:
+                if not test(sl):
+                    break
             else:
-                pool = old_idx
-            for atom in pool.candidates(lit, bindings):
-                if len(atom.args) == len(lit.args):
-                    nb = match_seq(lit.args, atom.args, bindings)
-                    if nb is not None:
-                        walk(i + 1, nb)
-        else:
-            nb = eval_builtin(lit, bindings)
-            if nb is not None:
-                walk(i + 1, nb)
-
-    walk(0, {})
-    derived.update(Atom(head.pred, args) for args in heads)
+                if nxt is None:
+                    heads.add(head(sl))
+                else:
+                    nxt(sl)
+    return step
 
 
-def _fire_delta(clauses, idx, derived, delta=None, old_idx=None):
-    """Add to `derived` the firings over `idx` that read an atom of `delta`.
+def _fire_clause(plan, pivot, idx, derived, delta_idx=None):
+    """Add to `derived` the firings of one clause, run by its plan for
+    the pivot, which is compiled on first use and kept in `plan`. The
+    pivot reads `delta_idx`, the calls before it the rest of `idx`, and
+    those after it all of `idx`, so pivoting each call in turn finds a
+    firing that reads the delta once, at its first delta atom."""
+    clause, runs = plan
+    run = runs.get(pivot)
+    if run is None:
+        run = runs[pivot] = _compile(clause, pivot)
+    heads = set()  # argument tuples; many firings derive the same head
+    run(idx, delta_idx, heads)
+    derived.update([Atom(clause.head.pred, args) for args in heads])
 
-    Without a delta, every firing over `idx`. With one, each call
-    literal that can match a delta atom is the pivot in turn, reading
-    the delta, with `old_idx` before it and `idx` after it (see
-    `_fire_clause`). When `old_idx` still holds the delta, a firing
-    that reads several delta atoms is found once per such atom, which
-    the set absorbs.
-    """
+
+def _fire_delta(plans, idx, derived, delta=None):
+    """Add to `derived` the firings of `clause_plans` over `idx` that read
+    an atom of `delta`, which `idx` holds too: each call that can match a
+    delta atom is the pivot in turn, through its plan. Without, all."""
     if delta is None:
-        for c in clauses:
-            _fire_clause(c, idx, derived)
+        for plan in plans:
+            _fire_clause(plan, None, idx, derived)
         return
     delta_idx = _AtomIndex(delta)
-    for c in clauses:
-        for j, lit in enumerate(c.body):
+    for plan in plans:
+        for j, lit in enumerate(plan[0].body):
             if isinstance(lit, Call) and lit.pred in delta_idx.by_pred:
-                _fire_clause(c, idx, derived, delta_idx, j, old_idx)
+                _fire_clause(plan, j, idx, derived, delta_idx)
 
 
 def immediate_step(clauses, atoms) -> frozenset:
-    """One application of the immediate-consequence step."""
+    """One application of the immediate-consequence step. `clauses` may
+    be `clause_plans`, so that repeated steps compile each clause once."""
+    if clauses and not isinstance(clauses[0], tuple):
+        clauses = clause_plans(clauses)
     derived = set()
     _fire_delta(clauses, _AtomIndex(atoms), derived)
     return frozenset(derived)
@@ -217,7 +278,7 @@ def immediate_step(clauses, atoms) -> frozenset:
 # --- the join-extended step ----------------------------------------------
 
 
-def _close_group(spec, values, new_values, budget):
+def _close_group(spec, values, new_values, budget, ordered=False):
     """Add `new_values` to one answer group's value set, which is closed
     under the join, and close it again, in place.
 
@@ -231,16 +292,15 @@ def _close_group(spec, values, new_values, budget):
     and y v z is in C. So each new value that the set does not hold yet
     joins once with a snapshot of the set as it stands, and the values
     it creates are never joined again. Under a join table that leaves
-    some pair undefined, a join may fail in one order and succeed in
-    another, so the frontier loop runs instead: every created value
-    joins the whole set in turn, and both walk the values in their
-    term order, so that the undefined pair an error names is the same
-    on every run.
+    some pair undefined, or when `ordered`, the frontier loop runs
+    instead: every created value joins the whole set in turn, and both
+    walk the values in their term order, so that the pair an error
+    names is the same on every run.
     """
     lattice = spec.lattice
     new_values = set(new_values)
     created = []
-    if lattice.total:
+    if lattice.total and not ordered:
         for x in new_values:
             if x in values:
                 continue
@@ -327,7 +387,7 @@ def close_answer_groups(specs, atoms, budget) -> frozenset:
 # --- fueled fixpoints ------------------------------------------------------
 
 
-def stratum_lfp(clauses, specs, fuel) -> FixpointResult:
+def stratum_lfp(clauses, specs, fuel, ordered=None) -> FixpointResult:
     """The fueled least fixpoint of the join-extended step, computed
     incrementally.
 
@@ -337,25 +397,26 @@ def stratum_lfp(clauses, specs, fuel) -> FixpointResult:
     least one atom of the last delta. Each answer group's value set is
     kept closed under the join, so it only has to absorb the delta's
     new values: `_close_group` closes each group once per delta, with
-    all of them, in one round under a total join. Under a join table
-    that leaves some pair undefined, the delta instead comes one atom
-    at a time in atom order and each group keeps the frontier loop, so
-    that the undefined pair an error names does not depend on set
-    order. The chain of interpretations and the step count match the
-    naive loop exactly.
+    all of them, in one round under a total join. `ordered` feeds the
+    delta one atom at a time in atom order instead, with the frontier
+    loop, so that the pair an error names does not depend on set order:
+    under a join table that leaves some pair undefined, and in a rerun
+    after any other join fails. The chain of interpretations and the
+    step count match the naive loop exactly.
     """
+    if ordered is None:
+        ordered = not all(spec.lattice.total for spec in specs.values())
+    plans = clause_plans(clauses)
     atoms = set()
-    idx = _AtomIndex()      # everything derived so far
-    old_idx = _AtomIndex()  # everything except the newest delta
+    idx = _AtomIndex()  # everything derived so far, the newest delta too
     tp = set()
     groups = {}
     steps = 0
     delta = None
-    ordered = not all(spec.lattice.total for spec in specs.values())
 
     while steps < fuel:
         derived = set()
-        _fire_delta(clauses, idx, derived, delta, old_idx)
+        _fire_delta(plans, idx, derived, delta)
         tp_delta = derived - tp
         tp |= tp_delta
 
@@ -363,16 +424,15 @@ def stratum_lfp(clauses, specs, fuel) -> FixpointResult:
         try:
             for spec, key, batch in _group_values(specs, tp_delta, ordered):
                 values = groups.setdefault(key, set())
-                for v in _close_group(spec, values, batch, fuel):
+                for v in _close_group(spec, values, batch, fuel, ordered):
                     new_atoms.add(spec.atom_of(key, v))
         except _BudgetExceeded:
             return FixpointResult(False, frozenset(atoms), steps)
-        except DomainError:
-            # name the first rejected atom in the total order, whatever
-            # order the set gave
-            for atom in atom_sorted(tp_delta):
-                specs[atom.pred].abstract_atom(atom)
-            raise
+        except LatlogError:
+            if ordered:
+                raise
+            # name the first error in atom order, whatever order the set gave
+            return stratum_lfp(clauses, specs, fuel, ordered=True)
         steps += 1
 
         fresh = new_atoms - atoms
@@ -381,9 +441,6 @@ def stratum_lfp(clauses, specs, fuel) -> FixpointResult:
         atoms |= fresh
         if len(atoms) > fuel:
             return FixpointResult(False, frozenset(atoms), steps)
-        if delta is not None:
-            for a in delta:
-                old_idx.add(a)
         for a in fresh:
             idx.add(a)
         delta = fresh

@@ -5,7 +5,7 @@ from functools import partial
 import pytest
 
 import latlog
-from latlog.errors import DomainError
+from latlog.errors import ArithmeticTypeError, DomainError, LatlogError
 from latlog.lattice import (
     BOTTOM,
     AnswerTable,
@@ -14,16 +14,27 @@ from latlog.lattice import (
     join_values,
     table_atoms,
 )
-from latlog.program import fact_clause
+from latlog.program import Call, Var, fact_clause, pattern_to_str
 from latlog.reference import (
     EvalOutcome,
     FixpointResult,
     StratumResult,
+    _AtomIndex,
     _BudgetExceeded,
     immediate_step,
 )
 from latlog.stratify import stratify, stratum_clauses
-from latlog.terms import atom_sorted, term_key
+from latlog.terms import (
+    MAX_INT_DIGITS,
+    Atom,
+    Compound,
+    Int,
+    ListTerm,
+    Symbol,
+    atom_sorted,
+    term_key,
+    term_to_str,
+)
 
 CORPUS = pathlib.Path(latlog.__file__).parent / "corpus"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -93,6 +104,151 @@ def recompute_sides(program, witness, fuel):
     assert lhs == aggregate_atoms(specs, frontier_close_groups(specs, stepped, fuel))
     collapsed = table_atoms(specs, aggregate_atoms(specs, atoms))
     return lhs, aggregate_atoms(specs, immediate_step(program.clauses, collapsed))
+
+
+# --- the dict-binding walk: the oracle for compiled clause plans ------------
+#
+# A depth-first walk over the body that copies a dict of bindings at
+# every literal, asks the index for candidates by the bindings it holds,
+# and evaluates each builtin by walking its expression. Candidates come
+# from the same `_AtomIndex` lookups in the same order, so the first
+# error a walk meets is the one a plan meets.
+
+
+def substitute(p, bindings):
+    """Replace variables by their bindings, producing a ground term."""
+    if isinstance(p, Var):
+        try:
+            return bindings[p.name]
+        except KeyError:
+            raise LatlogError(f"unbound variable {p.name}") from None
+    if isinstance(p, Compound):
+        return Compound(p.functor, tuple(substitute(a, bindings) for a in p.args))
+    if isinstance(p, ListTerm):
+        return ListTerm(tuple(substitute(e, bindings) for e in p.elements))
+    return p
+
+
+def _bind(pattern, term, bindings):
+    if isinstance(pattern, Var):
+        bound = bindings.get(pattern.name)
+        if bound is None:
+            bindings[pattern.name] = term
+            return True
+        return bound == term
+    if isinstance(pattern, Compound):
+        return (isinstance(term, Compound) and term.functor == pattern.functor
+                and len(term.args) == len(pattern.args)
+                and all(_bind(p, t, bindings) for p, t in zip(pattern.args, term.args)))
+    if isinstance(pattern, ListTerm):
+        return (isinstance(term, ListTerm) and len(term.elements) == len(pattern.elements)
+                and all(_bind(p, t, bindings) for p, t in zip(pattern.elements, term.elements)))
+    return pattern == term
+
+
+def match_seq(patterns, terms, bindings):
+    """One-way matching of patterns against ground terms, pairwise: the
+    extended bindings, or None."""
+    out = dict(bindings)
+    return out if all(_bind(p, t, out) for p, t in zip(patterns, terms)) else None
+
+
+_BINOPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b,
+           "min": min, "max": max}
+_COMPARISONS = {"<": lambda a, b: a < b, "=<": lambda a, b: a <= b,
+                ">": lambda a, b: a > b, ">=": lambda a, b: a >= b}
+
+
+def eval_arith(p, bindings) -> int:
+    """Evaluate an arithmetic expression pattern to an integer."""
+    if isinstance(p, Var):
+        t = bindings.get(p.name)
+        if isinstance(t, Int):
+            return t.value
+        if t is None:
+            t = substitute(p, bindings)  # raises the unbound-variable error
+        raise ArithmeticTypeError(f"arithmetic on non-integer {term_to_str(t)}")
+    if isinstance(p, Compound):
+        if len(p.args) == 2 and p.functor in _BINOPS:
+            return _BINOPS[p.functor](eval_arith(p.args[0], bindings),
+                                      eval_arith(p.args[1], bindings))
+        if p.functor == "-" and len(p.args) == 1:
+            return -eval_arith(p.args[0], bindings)
+    elif isinstance(p, Int):
+        return p.value
+    raise ArithmeticTypeError(f"not an arithmetic expression: {pattern_to_str(p)}")
+
+
+def eval_builtin(lit, bindings):
+    """The bindings after a builtin, extended when `is` binds its left
+    side, or None when it fails."""
+    lhs, rhs = lit.args
+    if lit.op == "is":
+        n = eval_arith(rhs, bindings)
+        if not -10 ** MAX_INT_DIGITS < n < 10 ** MAX_INT_DIGITS:
+            raise ArithmeticTypeError(
+                f"{pattern_to_str(rhs)} has more than {MAX_INT_DIGITS} digits")
+        if isinstance(lhs, Var) and lhs.name not in bindings:
+            return {**bindings, lhs.name: Int(n)}
+        return bindings if substitute(lhs, bindings) == Int(n) else None
+    if lit.op == "=":
+        return bindings if substitute(lhs, bindings) == substitute(rhs, bindings) else None
+    holds = _COMPARISONS[lit.op](eval_arith(lhs, bindings), eval_arith(rhs, bindings))
+    return bindings if holds else None
+
+
+def _candidates(idx, call, bindings, skip):
+    """The atoms of `idx` that agree with the call's bound arguments and
+    constants, less those in `skip`."""
+    positions, key = [], []
+    for i, p in enumerate(call.args):
+        if isinstance(p, Var):
+            p = bindings.get(p.name)
+            if p is None:
+                continue
+        elif not isinstance(p, (Int, Symbol)):
+            continue  # left to the matcher
+        positions.append(i)
+        key.append(p)
+    pool = idx.lookup(call.pred, tuple(positions))
+    if positions:
+        pool = pool.get(key[0] if len(key) == 1 else tuple(key), ())
+    return [a for a in pool if a not in skip]
+
+
+def walk_fire_clause(clause, idx, derived, delta_idx=None, pivot=None):
+    """`reference._fire_clause`, as a walk: with a pivot, that call reads
+    `delta_idx`, the calls before it the atoms of `idx` outside it, and
+    the calls after it all of `idx`."""
+    body, heads = clause.body, set()
+
+    def walk(i, bindings):
+        if i == len(body):
+            heads.add(tuple(substitute(a, bindings) for a in clause.head.args))
+            return
+        lit = body[i]
+        if not isinstance(lit, Call):
+            nb = eval_builtin(lit, bindings)
+            if nb is not None:
+                walk(i + 1, nb)
+            return
+        skip = delta_idx.by_pred.get(lit.pred, ()) if pivot is not None and i < pivot else ()
+        pool = delta_idx if i == pivot else idx
+        for atom in _candidates(pool, lit, bindings, skip):
+            nb = match_seq(lit.args, atom.args, bindings)
+            if nb is not None:
+                walk(i + 1, nb)
+
+    walk(0, {})
+    derived.update(Atom(clause.head.pred, args) for args in heads)
+
+
+def walk_immediate_step(clauses, atoms) -> frozenset:
+    """`immediate_step` through `walk_fire_clause`."""
+    derived, idx = set(), _AtomIndex(atoms)
+    for clause in clauses:
+        walk_fire_clause(clause, idx, derived)
+    return frozenset(derived)
 
 
 # --- the join closure's frontier loop: the oracle for the one-round closure ---

@@ -1,13 +1,36 @@
+"""Builtins, evaluated the way rules evaluate them: through the compiled
+plan of a clause that reads its bindings from one `env` fact."""
+
 import pytest
 
-from latlog.builtins import eval_arith, eval_builtin
 from latlog.errors import ArithmeticTypeError
-from latlog.program import Builtin, Var
-from latlog.terms import MAX_INT_DIGITS, Compound, Int, Symbol
+from latlog.program import Builtin, Call, Clause, Var
+from latlog.reference import immediate_step
+from latlog.terms import MAX_INT_DIGITS, Atom, Compound, Int, Symbol
 
 
 def b(op, lhs, rhs):
     return Builtin(op, (lhs, rhs))
+
+
+def eval_builtin(lit, bindings):
+    """The bindings after the builtin, extended when `is` binds its left
+    side, or None when it fails."""
+    names = sorted(bindings)
+    out = names + [lit.args[0].name] if (
+        lit.op == "is" and isinstance(lit.args[0], Var)
+        and lit.args[0].name not in bindings) else names
+    clause = Clause(Call("out", tuple(map(Var, out))),
+                    (Call("env", tuple(map(Var, names))), lit))
+    step = immediate_step((clause,), frozenset({Atom("env", tuple(bindings[n] for n in names))}))
+    if not step:
+        return None
+    (atom,) = step
+    return dict(zip(out, atom.args))
+
+
+def eval_arith(p, bindings):
+    return eval_builtin(b("is", Var("Result"), p), bindings)["Result"].value
 
 
 def test_is_binds_fresh_variable():
