@@ -24,9 +24,14 @@ The resulting firing table keeps each firing with the body atoms it
 read, which is the why-provenance of the step (Green, Karvounarakis
 and Tannen, PODS 2007), and the step on any subset of the pool is a
 containment test over it. Aggregation over the table reuses each
-atom's key and value, abstracted once per table. A set outside the
-pool is stepped directly; under `all` and `po` a collapse can be one,
-since a value read back is written as a list. A clause whose builtins
+atom's key and value, abstracted once per table, and folds them in any
+order, since the join of two values that abstraction accepted is
+always defined. A set holding an atom that abstraction rejects is
+folded by `aggregate_atoms`, which names the error in atom order; a
+universe holds no such atom, since the reference fixpoint raises on
+the first one it derives. A set outside the pool is stepped directly;
+under `all` and `po` a collapse can be one, since a value read back is
+written as a list. A clause whose builtins
 raise while the table is built stays out of it and is fired directly
 on each subset, so an error surfaces only at a subset whose own step
 raises it, with the same message.
@@ -129,9 +134,7 @@ def atom_universe(program: Program, fuel=DEFAULT_FUEL, cap=16) -> UniverseResult
     def collect(clauses, specs, fuel, lower):
         fp = stratum_lfp(clauses, specs, fuel)
         seen.update(fp.value)
-        # a stratum that ran dry is not folded: its partial model may
-        # hold values its lattice rejects, and nothing reads its answers
-        return fp, aggregate_atoms(specs, fp.value) if fp.converged else AnswerTable({})
+        return fp, aggregate_atoms(specs, fp.value)
 
     outcome = evaluate_strata(program, fuel, collect)
     return UniverseResult(outcome.converged and len(seen) <= cap, frozenset(seen))
@@ -204,7 +207,6 @@ class _FiringTable:
                 self.info[atom] = (spec.key_of(atom), spec.lattice, spec.abstract_atom(atom))
             except LatticeError:
                 pass
-        self.total = all(spec.lattice.total for spec in specs.values())
 
     def _fire(self, idx, delta):
         """Record the firings over `idx` that read an atom of `delta`."""
@@ -251,21 +253,19 @@ class _FiringTable:
 
     def aggregate(self, atoms):
         """`aggregate_atoms`, folding the table's cached keys and values
-        in input order when every lattice is total. Otherwise, and for
-        an atom outside the table or a fold that raises, the sorted fold
-        of `aggregate_atoms` gives the result or names the error."""
-        if self.total:
-            info = self.info
-            entries = {}
-            try:
-                for a in atoms:
-                    key, lattice, value = info[a]
-                    old = entries.get(key)
-                    entries[key] = value if old is None else join_values(lattice, old, value)
-                return AnswerTable(entries)
-            except (KeyError, LatlogError):
-                pass
-        return aggregate_atoms(self.specs, atoms)
+        in input order. An atom outside the table, or one whose
+        abstraction raised, hands the whole set to `aggregate_atoms`,
+        which folds it or names the error."""
+        info = self.info
+        entries = {}
+        try:
+            for a in atoms:
+                key, lattice, value = info[a]
+                old = entries.get(key)
+                entries[key] = value if old is None else join_values(lattice, old, value)
+        except KeyError:
+            return aggregate_atoms(self.specs, atoms)
+        return AnswerTable(entries)
 
 
 def _compare(x, step, aggregate, specs, fuel, checked):

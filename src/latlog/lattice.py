@@ -9,6 +9,12 @@ plain data: a term, a frozenset of terms, or a tuple of part values.
 Where the value is the output term itself, both conversions are the
 identity.
 
+Every lattice is checked at its boundary. A user's join table or order
+is checked for the laws when the lattice is built, and abstraction
+rejects a term outside the lattice's domain. So the join of two values
+that abstraction accepted is always defined, and a set of atoms folds
+to the same table in any order.
+
 Kinds, each with the type of its values:
 
   min / max      a term; under the total term order, join takes the
@@ -19,13 +25,13 @@ Kinds, each with the type of its values:
   po             a frozenset of terms: an antichain of a user-supplied
                  partial order (given as ground facts), join is union
                  followed by pruning of dominated elements
-  user join      a term; the join is given as ground facts name(X, Y, Z),
-                 or is one of the builtin arithmetic joins min/max; a fact
-                 table is checked when the lattice is built to be
-                 functional, commutative, idempotent and associative
-                 wherever it is defined; only a table defined on every
-                 pair of its carrier is total, and lets answers be
-                 folded in any order
+  user join      a term of the carrier, the terms a join table's rows
+                 mention; the join is given as ground facts
+                 name(X, Y, Z), checked when the lattice is built to be
+                 defined on every pair of the carrier, functional,
+                 commutative, idempotent and associative
+  builtin join   lattice(min/3) and lattice(max/3): min and max over
+                 the integers alone
   extended nat   a term: an integer, or the absorbing top `infty`; join
                  is max, since the term order puts every symbol above
                  every integer
@@ -76,13 +82,9 @@ BOTTOM = _BottomType()
 
 
 class LatticeSpec:
-    kind = "abstract"
     # a selective join always returns one of its operands (or an
     # already-absorbed top), so closing a set under it adds nothing
     selective = False
-    # a total join is defined on every pair of values that can arise,
-    # so with the join laws every fold order gives the same result
-    total = True
     # a selective lattice whose abstraction rejects some terms; the
     # reference fixpoint skips abstracting the atoms of the others
     checks_domain = False
@@ -98,7 +100,6 @@ class LatticeSpec:
 
 
 class MinLattice(LatticeSpec):
-    kind = "min"
     selective = True
 
     def join(self, x, y):
@@ -108,8 +109,6 @@ class MinLattice(LatticeSpec):
 
 
 class MaxLattice(MinLattice):
-    kind = "max"
-
     def join(self, x, y):
         if type(x) is Int and type(y) is Int:
             return x if x.value >= y.value else y
@@ -117,8 +116,6 @@ class MaxLattice(MinLattice):
 
 
 class AllLattice(LatticeSpec):
-    kind = "all"
-
     def join(self, x, y):
         return x | y
 
@@ -134,7 +131,6 @@ class AllLattice(LatticeSpec):
 class DiscreteLattice(AllLattice):
     """Set lattice over the unit element; rho drops the value entirely."""
 
-    kind = "discrete"
     selective = True
 
 
@@ -142,8 +138,6 @@ class DiscreteLattice(AllLattice):
 class PoLattice(AllLattice):
     name: str
     pairs: frozenset  # (x, y) meaning x precedes y; reflexivity implicit
-
-    kind = "po"
 
     def __post_init__(self):
         for (x, y) in self.pairs:
@@ -176,47 +170,61 @@ class PoLattice(AllLattice):
         return frozenset((term,))
 
 
-def _require_int(name, term):
-    if not isinstance(term, Int):
-        raise DomainError(
-            f"builtin join {name} needs integers, got {term_to_str(term)}")
-    return term.value
+class IntMinLattice(MinLattice):
+    """lattice(min/3): min over the integers alone."""
+
+    checks_domain = True
+    name = "min"
+
+    def abstract(self, term):
+        if type(term) is Int:
+            return term
+        raise DomainError(f"builtin join {self.name} needs integers, got {term_to_str(term)}")
 
 
-_BUILTIN_JOINS = {
-    "min": lambda a, b: Int(min(a, b)),
-    "max": lambda a, b: Int(max(a, b)),
-}
+class IntMaxLattice(IntMinLattice, MaxLattice):
+    """lattice(max/3): max over the integers alone."""
+
+    name = "max"
 
 
 @dataclass(frozen=True)
 class UserJoinLattice(LatticeSpec):
     name: str
-    rows: frozenset | None  # None when the join is a builtin
-
-    kind = "userjoin"
+    rows: frozenset  # (x, y, z) meaning x v y = z
 
     def __post_init__(self):
         table = {}
-        if self.rows is not None:
-            for (x, y, z) in self.rows:
-                if table.setdefault((x, y), z) != z:
-                    raise LatticeLawViolationError(
-                        f"join {self.name} is not functional "
-                        f"on ({term_to_str(x)}, {term_to_str(y)})")
-            for (x, y), z in table.items():
-                w = table.get((y, x))
-                if w is not None and w != z:
-                    raise LatticeLawViolationError(
-                        f"join {self.name} is not commutative "
-                        f"on ({term_to_str(x)}, {term_to_str(y)})")
-                if x == y and z != x:
-                    raise LatticeLawViolationError(
-                        f"join {self.name} is not idempotent on {term_to_str(x)}")
+        for (x, y, z) in self.rows:
+            if table.setdefault((x, y), z) != z:
+                raise LatticeLawViolationError(
+                    f"join {self.name} is not functional "
+                    f"on ({term_to_str(x)}, {term_to_str(y)})")
+        for (x, y), z in table.items():
+            w = table.get((y, x))
+            if w is not None and w != z:
+                raise LatticeLawViolationError(
+                    f"join {self.name} is not commutative "
+                    f"on ({term_to_str(x)}, {term_to_str(y)})")
+            if x == y and z != x:
+                raise LatticeLawViolationError(
+                    f"join {self.name} is not idempotent on {term_to_str(x)}")
+        # sorted, so that the pair or triple an error names is reproducible
+        carrier = term_sorted({t for row in self.rows for t in row})
         object.__setattr__(self, "_table", table)
-        # the builtin joins, min and max, return one of their operands
-        object.__setattr__(self, "selective", self.rows is None)
-        object.__setattr__(self, "total", self.rows is None or self._check_associative())
+        object.__setattr__(self, "_carrier", frozenset(carrier))
+        for x in carrier:
+            for y in carrier:
+                if self._lookup(x, y) is None:
+                    raise JoinUndefinedError(self.name, term_to_str(x), term_to_str(y))
+        for x in carrier:
+            for y in carrier:
+                xy = self._lookup(x, y)
+                for z in carrier:
+                    if self._lookup(xy, z) != self._lookup(x, self._lookup(y, z)):
+                        raise LatticeLawViolationError(
+                            f"join {self.name} is not associative on "
+                            f"({term_to_str(x)}, {term_to_str(y)}, {term_to_str(z)})")
 
     def _lookup(self, a, b):
         """The join of two carrier terms, or None where it is undefined."""
@@ -225,49 +233,21 @@ class UserJoinLattice(LatticeSpec):
         z = self._table.get((a, b))
         return self._table.get((b, a)) if z is None else z
 
-    def _check_associative(self):
-        """Raise on a triple where both bracketings are defined and differ.
-
-        Returns whether the join is defined on every pair of the
-        carrier. Triples with an undefined join are skipped, so only
-        then does the check vouch for every fold order.
-        """
-        # sorted, so that the triple named in the error is reproducible
-        carrier = term_sorted({t for row in self.rows for t in row})
-        total = True
-        for x in carrier:
-            for y in carrier:
-                xy = self._lookup(x, y)
-                if xy is None:
-                    total = False
-                    continue
-                for z in carrier:
-                    yz = self._lookup(y, z)
-                    if yz is None:
-                        continue
-                    left, right = self._lookup(xy, z), self._lookup(x, yz)
-                    if left is not None and right is not None and left != right:
-                        raise LatticeLawViolationError(
-                            f"join {self.name} is not associative on "
-                            f"({term_to_str(x)}, {term_to_str(y)}, {term_to_str(z)})")
-        return total
-
     def join(self, x, y):
-        if self.rows is None:
-            if x == y:
-                return x
-            fn = _BUILTIN_JOINS[self.name]
-            return fn(_require_int(self.name, x), _require_int(self.name, y))
         z = self._lookup(x, y)
-        if z is None:
+        if z is None:  # abstraction keeps every value inside the carrier
             raise JoinUndefinedError(self.name, term_to_str(x), term_to_str(y))
         return z
+
+    def abstract(self, term):
+        if term in self._carrier:
+            return term
+        raise DomainError(f"{term_to_str(term)} is not in the carrier of join {self.name}")
 
 
 class ExtendedNatLattice(MaxLattice):
     """Integers with an adjoined absorbing top, written `infty`."""
 
-    kind = "extnat"
     checks_domain = True
 
     def abstract(self, term):
@@ -279,11 +259,6 @@ class ExtendedNatLattice(MaxLattice):
 @dataclass(frozen=True)
 class ProductLattice(LatticeSpec):
     parts: tuple
-
-    kind = "product"
-
-    def __post_init__(self):
-        object.__setattr__(self, "total", all(p.total for p in self.parts))
 
     def join(self, x, y):
         return tuple([p.join(a, b) for p, a, b in zip(self.parts, x, y)])
@@ -378,9 +353,8 @@ def _mode_lattice(mode: Mode, program: Program) -> LatticeSpec:
         rows = program.join_relations.get(mode.relation)
         if rows is not None:
             return UserJoinLattice(mode.relation, rows)
-        if mode.relation == "max_inf":
-            return ExtendedNatLattice()
-        return UserJoinLattice(mode.relation, None)
+        return {"min": IntMinLattice, "max": IntMaxLattice,
+                "max_inf": ExtendedNatLattice}[mode.relation]()
     raise DomainError(f"mode {mode.kind} has no lattice")
 
 
@@ -456,20 +430,16 @@ def _fold(specs, atoms):
 def aggregate_atoms(specs, atoms) -> AnswerTable:
     """Fold a set of atoms into one table, joining collisions per key.
 
-    Lattices are checked for the join laws when they are built, so the
-    fold may take the atoms in whatever order they come. Two cases
-    still fold in the total atom order. An error is raised again by the
-    sorted fold, so its message names the same atoms on every run. And
-    a user join table that leaves some pair undefined can fail in one
-    order and succeed in another, so under one the fold is sorted from
-    the start.
+    The join of two accepted values is always defined, so the fold
+    takes the atoms in whatever order they come. Only abstraction can
+    raise, on an atom outside its lattice's domain; the fold then runs
+    again in the total atom order, so the error names the same atom on
+    every run.
     """
-    if all(spec.lattice.total for spec in specs.values()):
-        try:
-            return _fold(specs, atoms)
-        except LatlogError:
-            pass
-    return _fold(specs, atom_sorted(atoms))
+    try:
+        return _fold(specs, atoms)
+    except LatlogError:
+        return _fold(specs, atom_sorted(atoms))
 
 
 def table_join(specs, tables) -> AnswerTable:

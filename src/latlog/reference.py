@@ -25,7 +25,6 @@ step budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from operator import itemgetter
 
 from .builtins import builtin_test
@@ -49,7 +48,7 @@ from .program import (
     term_matcher,
 )
 from .stratify import stratify, stratum_clauses
-from .terms import Atom, Int, Symbol, atom_sorted, term_key
+from .terms import Atom, Int, Symbol, atom_sorted
 
 DEFAULT_FUEL = 10000
 
@@ -97,6 +96,8 @@ class _AtomIndex:
     et al., VLDB 2018). An index is built from the predicate's atoms on
     its first lookup and kept current by `add` and `discard` from then
     on, so an evaluation pays only for the indexes its rules read.
+    Each bucket is a dict used as an insertion-ordered set, so an index
+    built from sorted atoms yields them in sorted order.
     """
 
     __slots__ = ("by_pred", "by_args")
@@ -110,9 +111,9 @@ class _AtomIndex:
     def add(self, atom):
         atoms = self.by_pred.get(atom.pred)
         if atoms is None:
-            self.by_pred[atom.pred] = {atom}
+            self.by_pred[atom.pred] = {atom: None}
         else:
-            atoms.add(atom)
+            atoms[atom] = None
         indexes = self.by_args.get(atom.pred)
         if indexes:
             args = atom.args
@@ -120,15 +121,15 @@ class _AtomIndex:
                 key = pick(args)
                 bucket = buckets.get(key)
                 if bucket is None:
-                    buckets[key] = {atom}
+                    buckets[key] = {atom: None}
                 else:
-                    bucket.add(atom)
+                    bucket[atom] = None
 
     def discard(self, atom):
         """Forget an indexed atom, so it can no longer fire anything."""
-        self.by_pred[atom.pred].discard(atom)
+        self.by_pred[atom.pred].pop(atom, None)
         for pick, buckets in self.by_args.get(atom.pred, {}).values():
-            buckets[pick(atom.args)].discard(atom)
+            buckets[pick(atom.args)].pop(atom, None)
 
     def lookup(self, pred, positions):
         """The predicate's atoms, or with `positions` its index on them."""
@@ -138,7 +139,7 @@ class _AtomIndex:
         if positions not in indexes:
             pick, buckets = indexes[positions] = itemgetter(*positions), {}
             for atom in self.by_pred.get(pred, ()):
-                buckets.setdefault(pick(atom.args), set()).add(atom)
+                buckets.setdefault(pick(atom.args), {})[atom] = None
         return indexes[positions][1]
 
 
@@ -253,7 +254,21 @@ def _fire_clause(plan, pivot, idx, derived, delta_idx=None):
 def _fire_delta(plans, idx, derived, delta=None):
     """Add to `derived` the firings of `clause_plans` over `idx` that read
     an atom of `delta`, which `idx` holds too: each call that can match a
-    delta atom is the pivot in turn, through its plan. Without, all."""
+    delta atom is the pivot in turn, through its plan. Without, all.
+
+    When a firing raises, the same firings run again over indexes built
+    from the atoms in atom order, and that run's error is raised, so it
+    names the same atoms at every hash seed."""
+    try:
+        _fire_pivots(plans, idx, derived, delta)
+    except LatlogError:
+        pool = atom_sorted([a for atoms in idx.by_pred.values() for a in atoms])
+        _fire_pivots(plans, _AtomIndex(pool), set(),
+                     None if delta is None else atom_sorted(delta))
+        raise
+
+
+def _fire_pivots(plans, idx, derived, delta):
     if delta is None:
         for plan in plans:
             _fire_clause(plan, None, idx, derived)
@@ -278,7 +293,7 @@ def immediate_step(clauses, atoms) -> frozenset:
 # --- the join-extended step ----------------------------------------------
 
 
-def _close_group(spec, values, new_values, budget, ordered=False):
+def _close_group(spec, values, new_values, budget):
     """Add `new_values` to one answer group's value set, which is closed
     under the join, and close it again, in place.
 
@@ -287,69 +302,46 @@ def _close_group(spec, values, new_values, budget, ordered=False):
     which the values arrive. Raises `_BudgetExceeded` when the join
     creates a value and the closure holds more than `budget` values.
 
-    Under a total join one round suffices. If C is closed, so is
-    C | {x} | {x v y : y in C}, since (x v y) v (x v z) = x v (y v z)
-    and y v z is in C. So each new value that the set does not hold yet
-    joins once with a snapshot of the set as it stands, and the values
-    it creates are never joined again. Under a join table that leaves
-    some pair undefined, or when `ordered`, the frontier loop runs
-    instead: every created value joins the whole set in turn, and both
-    walk the values in their term order, so that the pair an error
-    names is the same on every run.
+    One round suffices. If C is closed, so is C | {x} | {x v y : y in C},
+    since (x v y) v (x v z) = x v (y v z) and y v z is in C. So each new
+    value that the set does not hold yet joins once with a snapshot of
+    the set as it stands, and the values it creates are never joined
+    again.
     """
     lattice = spec.lattice
     new_values = set(new_values)
     created = []
-    if lattice.total and not ordered:
-        for x in new_values:
-            if x in values:
-                continue
-            snapshot = tuple(values)
-            values.add(x)
-            for y in snapshot:
-                j = join_values(lattice, x, y)
-                if j not in values:
-                    values.add(j)
-                    if j not in new_values:
-                        created.append(j)
-                        if len(values) > budget:
-                            raise _BudgetExceeded
-        # new values added after the last created one count as well
-        if created and len(values) > budget:
-            raise _BudgetExceeded
-        return created
-    fresh = new_values - values
-    values |= fresh
-    walk = partial(sorted, key=lambda v: term_key(lattice.represent(v)))
-    frontier = walk(fresh)
-    while frontier:
-        next_frontier = []
-        for x in frontier:
-            for y in walk(values):
-                j = join_values(lattice, x, y)
-                if j not in values:
-                    values.add(j)
-                    next_frontier.append(j)
+    for x in new_values:
+        if x in values:
+            continue
+        snapshot = tuple(values)
+        values.add(x)
+        for y in snapshot:
+            j = join_values(lattice, x, y)
+            if j not in values:
+                values.add(j)
+                if j not in new_values:
                     created.append(j)
                     if len(values) > budget:
                         raise _BudgetExceeded
-        frontier = next_frontier
+    # new values added after the last created one count as well
+    if created and len(values) > budget:
+        raise _BudgetExceeded
     return created
 
 
-def _group_values(specs, atoms, ordered):
+def _group_values(specs, atoms):
     """The values a set of atoms brings to the answer groups it
-    touches, as (spec, key, values) in the order the closure takes them.
+    touches, as (spec, key, values), one per group.
 
     Groups under a selective lattice cannot gain a value from the join,
     so their atoms are left out; they are only abstracted where the
-    lattice's domain can reject them. When `ordered`, each atom comes
-    alone, in atom order, and is abstracted only once the one before it
-    has been closed. Otherwise each group comes once with all of its
-    values.
+    lattice's domain can reject them. Every atom is abstracted before
+    the first group is yielded, so a domain error comes before any
+    closure runs.
     """
     batches = {}
-    for atom in atom_sorted(atoms) if ordered else atoms:
+    for atom in atoms:
         spec = specs[atom.pred]
         lattice = spec.lattice
         if lattice.selective:
@@ -357,9 +349,6 @@ def _group_values(specs, atoms, ordered):
                 spec.abstract_atom(atom)
             continue
         key = spec.key_of(atom)
-        if ordered:
-            yield spec, key, (spec.abstract_atom(atom),)
-            continue
         batch = batches.get(key)
         if batch is None:
             batches[key] = batch = (spec, [])
@@ -378,7 +367,7 @@ def close_answer_groups(specs, atoms, budget) -> frozenset:
     `atoms` itself.
     """
     added = set()
-    for spec, key, values in _group_values(specs, atoms, False):
+    for spec, key, values in _group_values(specs, atoms):
         for v in _close_group(spec, set(), values, budget):
             added.add(spec.atom_of(key, v))
     return frozenset(atoms).union(added) if added else atoms
@@ -387,7 +376,7 @@ def close_answer_groups(specs, atoms, budget) -> frozenset:
 # --- fueled fixpoints ------------------------------------------------------
 
 
-def stratum_lfp(clauses, specs, fuel, ordered=None) -> FixpointResult:
+def stratum_lfp(clauses, specs, fuel) -> FixpointResult:
     """The fueled least fixpoint of the join-extended step, computed
     incrementally.
 
@@ -397,15 +386,14 @@ def stratum_lfp(clauses, specs, fuel, ordered=None) -> FixpointResult:
     least one atom of the last delta. Each answer group's value set is
     kept closed under the join, so it only has to absorb the delta's
     new values: `_close_group` closes each group once per delta, with
-    all of them, in one round under a total join. `ordered` feeds the
-    delta one atom at a time in atom order instead, with the frontier
-    loop, so that the pair an error names does not depend on set order:
-    under a join table that leaves some pair undefined, and in a rerun
-    after any other join fails. The chain of interpretations and the
+    all of them, in one round. The chain of interpretations and the
     step count match the naive loop exactly.
+
+    Past the rule firings, only abstraction can raise, since the join
+    of two accepted values is always defined. On an error the delta is
+    abstracted again in atom order, and the first error that pass meets
+    is raised, so it names the same atom at every hash seed.
     """
-    if ordered is None:
-        ordered = not all(spec.lattice.total for spec in specs.values())
     plans = clause_plans(clauses)
     atoms = set()
     idx = _AtomIndex()  # everything derived so far, the newest delta too
@@ -422,17 +410,16 @@ def stratum_lfp(clauses, specs, fuel, ordered=None) -> FixpointResult:
 
         new_atoms = set(tp_delta)
         try:
-            for spec, key, batch in _group_values(specs, tp_delta, ordered):
+            for spec, key, batch in _group_values(specs, tp_delta):
                 values = groups.setdefault(key, set())
-                for v in _close_group(spec, values, batch, fuel, ordered):
+                for v in _close_group(spec, values, batch, fuel):
                     new_atoms.add(spec.atom_of(key, v))
         except _BudgetExceeded:
             return FixpointResult(False, frozenset(atoms), steps)
         except LatlogError:
-            if ordered:
-                raise
-            # name the first error in atom order, whatever order the set gave
-            return stratum_lfp(clauses, specs, fuel, ordered=True)
+            for atom in atom_sorted(tp_delta):
+                specs[atom.pred].abstract_atom(atom)
+            raise
         steps += 1
 
         fresh = new_atoms - atoms

@@ -1,6 +1,5 @@
 import pathlib
 import random
-from functools import partial
 
 import pytest
 
@@ -32,7 +31,6 @@ from latlog.terms import (
     ListTerm,
     Symbol,
     atom_sorted,
-    term_key,
     term_to_str,
 )
 
@@ -95,7 +93,7 @@ def aggregate_model(specs, atoms) -> frozenset:
 
 def recompute_sides(program, witness, fuel):
     """Both sides of the soundness condition on one subset, from the
-    definitions: direct immediate steps and sorted folds. This is the
+    definitions: direct immediate steps and folds. This is the
     oracle for the checker's firing tables and shortcuts."""
     specs = build_specs(program)
     atoms = frozenset(witness)
@@ -260,15 +258,12 @@ def frontier_close(spec, values, new_values, budget):
     until nothing new appears. Returns the values the join added."""
     fresh = [v for v in new_values if v not in values]
     values.update(fresh)
-    lattice = spec.lattice
-    walk = list if lattice.total else partial(
-        sorted, key=lambda v: term_key(lattice.represent(v)))
     added = []
-    frontier = walk(fresh) if len(values) > len(fresh) else walk(values)
+    frontier = fresh if len(values) > len(fresh) else list(values)
     while frontier:
         next_frontier = []
         for x in frontier:
-            for y in walk(values):
+            for y in list(values):
                 j = join_values(spec.lattice, x, y)
                 if j not in values:
                     values.add(j)

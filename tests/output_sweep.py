@@ -1,0 +1,158 @@
+"""Run a fixed set of programs through the CLI and record what each prints.
+
+    PYTHONPATH=src python tests/output_sweep.py OUT.json
+    python tests/output_sweep.py --compare A.json B.json
+
+The programs are the corpus, the benchmark's workload programs for two
+seeds (read through `bench/workloads.generate`), the seeded DAG
+programs of `conftest.random_dag_program` for each lattice at seeds
+0-2, and the edge programs below. Each runs under `eval` on both
+engines, `diff --json`, and the three check strategies, by calling
+`latlog.cli.main` in-process. The benchmark's programs run at the
+benchmark's fuel, the others at fuel 200, as the goldens do. The JSON
+maps "program argv" to [exit code, stdout, stderr]; an exception
+escaping `main` is recorded as exit code null and its one-line
+description.
+
+Sweeps taken at two commits, or at two values of PYTHONHASHSEED, show
+every output a change moved: `--compare` lists the runs that differ
+and exits 1 when there are any.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import pathlib
+import sys
+import tempfile
+import traceback
+
+HERE = pathlib.Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "bench")]
+
+BENCH_SEEDS = (907, 2026)
+FUEL = "200"
+DAG_SEEDS = (0, 1, 2)
+
+COMMANDS = (
+    ("eval", "--engine", "reference"),
+    ("eval", "--engine", "greedy"),
+    ("diff", "--json"),
+    ("check",),
+    ("check", "--strategy", "sampled"),
+    ("check", "--strategy", "trace"),
+)
+
+# Join tables, values outside a lattice's domain, and rule errors
+# whose message could depend on the order atoms are met in.
+EDGE_PROGRAMS = {
+    "partial_join_total_fold.pl":
+        "j(a,b,c).\n:- table p(lattice(j/3)).\np(a). p(b). p(c).\n",
+    "partial_join_sorted_fold.pl":
+        "j(b,c,a).\n:- table p(lattice(j/3)).\np(a). p(b). p(c).\n",
+    "join_outside_carrier_lone.pl":
+        "j(a,b,b).\n:- table p(lattice(j/3)).\np(a).\np(c).\n",
+    "join_outside_carrier.pl":
+        "j(a,b,b).\n:- table p(lattice(j/3)).\np(a). p(b). p(z). p(y).\n",
+    "builtin_min_symbols.pl":
+        ":- table p(index,lattice(min/3),all).\np(k,a,x). p(k,b,y). p(k,3,z).\n",
+    "builtin_min_lone_symbol.pl":
+        ":- table p(index,lattice(min/3)).\np(a,foo).\n",
+    "builtin_min_diverging.pl":
+        ":- table p(index,lattice(min/3)).\n"
+        "p(a,foo). p(b,0). p(b,X) :- p(b,Y), X is Y+1.\n"
+        "p(a,X) :- p(b,X), X = 5.\n",
+    "max_inf_symbols.pl":
+        ":- table p(lattice(max_inf/3)).\np(1). p(foo). p(bar).\n",
+    "max_inf_before_arithmetic.pl":
+        ":- table p(index,lattice(max_inf/3)).\n"
+        "p(a,foo). p(b,X) :- p(a,Y), X is Y+1.\n",
+    "arithmetic_on_symbols.pl":
+        "p(a). p(b). p(1).\nq(X) :- p(Y), X is Y+1.\n",
+    "arithmetic_on_a_collection.pl":
+        ":- table p(all).\np(2). p(foo).\np(X) :- p(Y), X is Y*Y.\n",
+    "lub_table_four_keys.pl":
+        "lub(a,b,c). lub(a,c,c). lub(a,d,d). lub(b,c,c). lub(b,d,d). lub(c,d,d).\n"
+        ":- table p(index,lattice(lub/3)).\n"
+        "p(k1,a). p(k1,b). p(k2,a). p(k2,b). p(k3,a). p(k3,b). p(k4,a). p(k4,b).\n",
+}
+
+
+def programs():
+    """{file name: (program text, fuel)}, in a fixed order."""
+    import workloads
+    from conftest import CORPUS, CORPUS_FILES, DAG_PROGRAMS, random_dag_program
+    from latlog.parser import program_to_text
+
+    out = {name: ((CORPUS / name).read_text(encoding="utf-8"), FUEL) for name in CORPUS_FILES}
+    for workload in workloads.WORKLOADS:
+        for seed in BENCH_SEEDS:
+            for name, (prog, _) in workloads.generate(workload, seed).items():
+                out[f"{workload}_{seed}_{name}"] = (prog.text(), workloads.FUEL)
+    for lattice in DAG_PROGRAMS:
+        for seed in DAG_SEEDS:
+            text = program_to_text(random_dag_program(lattice, seed))
+            out[f"dag_{lattice}_{seed}.pl"] = (text, FUEL)
+    out.update((name, (text, FUEL)) for name, text in EDGE_PROGRAMS.items())
+    return out
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process CLI run."""
+    from latlog import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+    except (Exception, SystemExit) as exc:  # a traceback is an outcome worth recording
+        code = None
+        err.write(traceback.format_exception_only(type(exc), exc)[-1])
+    return code, out.getvalue(), err.getvalue()
+
+
+def sweep():
+    results = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, (text, fuel) in programs().items():
+            path = pathlib.Path(workdir, name)
+            path.write_text(text, encoding="utf-8")
+            for command in COMMANDS:
+                code, out, err = run_cli([command[0], str(path), "--fuel", fuel, *command[1:]])
+                results[f"{name} {' '.join(command)}"] = [
+                    code, out.replace(workdir, "<dir>"), err.replace(workdir, "<dir>")]
+    return results
+
+
+def compare(a, b):
+    """The keys whose runs differ between two sweeps, or that only one has."""
+    return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", nargs="?", help="where to write the sweep's JSON")
+    ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                    help="list the runs that differ between two sweeps")
+    args = ap.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(pathlib.Path(p).read_text(encoding="utf-8")) for p in args.compare)
+        differ = compare(a, b)
+        for key in differ:
+            print(key)
+            print(f"  {args.compare[0]}: {a.get(key)!r}")
+            print(f"  {args.compare[1]}: {b.get(key)!r}")
+        print(f"{len(differ)} of {len(a.keys() | b.keys())} runs differ")
+        return 1 if differ else 0
+    if not args.out:
+        ap.error("give an output file, or --compare A B")
+    results = sweep()
+    pathlib.Path(args.out).write_text(
+        json.dumps(results, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"{len(results)} runs written to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

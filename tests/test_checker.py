@@ -243,11 +243,11 @@ def test_every_tested_subset_matches_the_oracle(name, strategy, monkeypatch):
         assert seen
 
 
-# Four groups p(kI,a), p(kI,b) under a join table that leaves b v d and
-# c v d undefined: a universe of 12 atoms, whose 4096 subsets all step
-# to the same eight facts.
-PARTIAL_TABLE = """j(a,b,c). j(a,c,c). j(b,c,c). j(a,d,d).
-:- table p(index,lattice(j/3)).
+# Four groups p(kI,a), p(kI,b) under the lub table of lub_lattice.pl,
+# which joins a and b to c: a universe of 12 atoms, whose 4096 subsets
+# all step to the same eight facts.
+LUB_TABLE = """lub(a,b,c). lub(a,c,c). lub(a,d,d). lub(b,c,c). lub(b,d,d). lub(c,d,d).
+:- table p(index,lattice(lub/3)).
 p(k1,a). p(k1,b). p(k2,a). p(k2,b). p(k3,a). p(k3,b). p(k4,a). p(k4,b).
 """
 
@@ -261,7 +261,7 @@ def test_each_distinct_step_is_cross_checked_once(monkeypatch):
         return close(specs, atoms, budget)
 
     monkeypatch.setattr(checker, "close_answer_groups", counting)
-    report = check_greedy_soundness(parse_program(PARTIAL_TABLE), EXHAUSTIVE)
+    report = check_greedy_soundness(parse_program(LUB_TABLE), EXHAUSTIVE)
     assert (report.verdict, len(report.universe.atoms), report.tested) == (
         NO_VIOLATION, 12, 4096)
     assert len(calls) == 1
@@ -273,7 +273,7 @@ def test_each_distinct_step_is_cross_checked_once(monkeypatch):
 
     monkeypatch.setattr(checker, "close_answer_groups", broken)
     with pytest.raises(InternalInconsistencyError):
-        check_greedy_soundness(parse_program(PARTIAL_TABLE), EXHAUSTIVE)
+        check_greedy_soundness(parse_program(LUB_TABLE), EXHAUSTIVE)
 
 
 # --- the differ -------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -96,20 +97,14 @@ def test_check_json_violation(capsys):
                                 "atoms": ["p(0)", "p(1)", "p(2)", "p(3)"]}
 
 
-def test_a_diverging_universe_is_not_folded(capsys, tmp_path):
-    # p(a,foo) and p(a,5) cannot be joined under min/3, but p's stratum
-    # diverges, so the universe never folds them and serves as a pool
+def test_a_diverging_universe_rejects_a_value_outside_its_lattice(capsys, tmp_path):
+    # p's stratum diverges, but p(a,foo) lies outside the integers of
+    # min/3, and the universe rejects it in the step that derives it
     f = write(tmp_path, ":- table p(index,lattice(min/3)).\n"
                         "p(a,foo). p(b,0). p(b,X) :- p(b,Y), X is Y+1.\n"
                         "p(a,X) :- p(b,X), X = 5.\n")
-    code, out, _ = run(capsys, "check", f, "--strategy", "sampled", "--samples", "5",
-                       "--fuel", "100", "--json")
-    assert code == 0
-    data = json.loads(out)
-    assert data["verdict"] == "no-violation-found"
-    assert data["tested"] == 5
-    assert data["universe"]["complete"] is False
-    assert {"p(a,foo)", "p(a,5)", "p(b,0)"} <= set(data["universe"]["atoms"])
+    _one_error(capsys, f, ("check", "--strategy", "sampled", "--samples", "5", "--fuel", "100"),
+               4, "domain", "builtin join min needs integers, got foo")
 
 
 def test_check_json_inconclusive(capsys):
@@ -266,49 +261,78 @@ def test_arithmetic_past_the_digit_bound_is_a_program_error(capsys, tmp_path):
 
 
 def test_partial_join_relation_is_a_lattice_error(capsys, tmp_path):
+    # j joins a and b, so its carrier is {a, b}, and c lies outside it
     f = write(tmp_path,
               "j(a,b,b).\n"
               ":- table p(lattice(j/3)).\n"
               "p(a).\np(c).\n")
-    code, out, _ = run(capsys, "eval", f, "--json")
-    assert code == 4
-    data = json.loads(out)
-    assert data["kind"] == "join-undefined"
-    assert "(a, c)" in data["detail"]
+    for argv in (("eval",), ("eval", "--engine", "reference")):
+        _one_error(capsys, f, argv, 4, "domain", "c is not in the carrier of join j")
 
 
-# Atoms are folded in set order, and the order of a set of symbols
-# moves with the string hash seed. An error must still name the same
-# atoms, and a join table with an undefined pair must still be folded
-# in sorted order, where p(a), p(b), p(c) give p(c) under the first
-# table and fail on (a, b) under the second.
+# Runs the CLI in-process on each argv of the JSON list it reads, and
+# prints the list of their (exit code, stdout, stderr).
+_RUN_EACH = ("import json, sys; from output_sweep import run_cli; "
+             "json.dump([run_cli(argv) for argv in json.load(sys.stdin)], sys.stdout)")
+
+EVERY = (("eval", "--engine", "reference"), ("eval", "--engine", "greedy"), ("diff",),
+         ("check",), ("check", "--strategy", "trace"))
+
+# Atoms are folded, and rules fired, in set order, and the order of a
+# set of symbols moves with the string hash seed. Each program below
+# fails; every command must print one message at every seed. Each case
+# is (program, commands, exit code, the message all of them print, or
+# one per command): one message wherever both engines fail at a
+# lattice's boundary, or on a join table when the program is built.
+# An arithmetic error can differ by engine: greedy folds p(2) and
+# p(foo) into p([2,foo]) before the rule reads either, and the
+# reference fires on all three, in atom order.
 HASH_SEED_CASES = [
     (":- table p(lattice(max_inf/3)).\np(1). p(foo). p(bar).\n",
-     ("reference", "greedy"), (4, "", "error: bar is not an extended natural\n")),
+     EVERY, 4, "bar is not an extended natural"),
     ("j(a,b,c).\n:- table p(lattice(j/3)).\np(a). p(b). p(c).\n",
-     ("greedy",), (0, "p(c)\n", "")),
+     EVERY, 4, "join j is undefined on (a, c)"),
     ("j(b,c,a).\n:- table p(lattice(j/3)).\np(a). p(b). p(c).\n",
-     ("greedy",), (4, "", "error: join j is undefined on (a, b)\n")),
+     EVERY, 4, "join j is undefined on (a, b)"),
+    ("j(a,b,b).\n:- table p(lattice(j/3)).\np(a). p(b). p(z). p(y).\n",
+     EVERY, 4, "y is not in the carrier of join j"),
+    (":- table p(index,lattice(min/3),all).\np(k,a,x). p(k,b,y). p(k,3,z).\n",
+     EVERY, 4, "builtin join min needs integers, got a"),
+    (":- table p(index,lattice(min/3)).\np(a,foo).\n",
+     EVERY, 4, "builtin join min needs integers, got foo"),
+    ("p(a). p(b). p(1).\nq(X) :- p(Y), X is Y+1.\n",
+     EVERY, 3, "arithmetic on non-integer a"),
+    (":- table p(all).\np(2). p(foo).\np(X) :- p(Y), X is Y*Y.\n",
+     EVERY, 3, tuple(f"arithmetic on non-integer {t}"
+                     for t in ("foo", "[2,foo]", "foo", "foo", "foo"))),
 ]
 
 
-@pytest.mark.parametrize("text,engines,expected", HASH_SEED_CASES,
-                         ids=["max-inf-domain", "partial-join", "partial-join-error"])
-def test_fold_outcome_does_not_depend_on_the_hash_seed(text, engines, expected, tmp_path):
+@pytest.mark.parametrize("text,commands,code,message", HASH_SEED_CASES, ids=[
+    "max-inf-domain", "partial-join", "partial-join-error", "outside-carrier",
+    "builtin-min-domain", "builtin-min-lone-symbol", "arithmetic", "arithmetic-on-a-set"])
+def test_fold_outcome_does_not_depend_on_the_hash_seed(text, commands, code, message, tmp_path):
     f = write(tmp_path, text)
-    for engine in engines:
-        for seed in ("1", "2", "3", "4", "5"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "latlog.cli", "eval", f, "--engine", engine],
-                capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed})
-            assert (proc.returncode, proc.stdout, proc.stderr) == expected, (engine, seed)
+    argvs = [[command[0], f, *command[1:]] for command in commands]
+    outputs = {command: set() for command in commands}
+    path = os.pathsep.join([str(pathlib.Path(__file__).parent), os.environ.get("PYTHONPATH", "")])
+    for seed in ("1", "2", "3", "4", "5", "6"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_EACH], input=json.dumps(argvs), check=True,
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path})
+        for command, run_ in zip(commands, json.loads(proc.stdout)):
+            outputs[command].add(tuple(run_))
+    messages = (message,) * len(commands) if isinstance(message, str) else message
+    for command, expected in zip(commands, messages):
+        assert len(outputs[command]) == 1, (command, outputs[command])
+        assert outputs[command].pop() == (code, "", f"error: {expected}\n"), command
 
 
 def test_join_closure_error_does_not_depend_on_the_hash_seed(tmp_path):
-    # the reference closes p's group under j, which is undefined on
-    # (a, c); the closure walks the values in term order, so it names
-    # the same pair at every seed, through eval and through the
-    # checker's universe alike
+    # j is undefined on (a, c), the first such pair in term order, so
+    # the program is refused when its lattices are built, before any
+    # closure or fold runs, through eval and the checker alike
     f = write(tmp_path, "j(a,b,c).\n:- table p(lattice(j/3)).\np(a). p(b). p(c).\n")
     for argv in (["eval", f, "--engine", "reference"], ["check", f]):
         for seed in ("1", "2", "3", "4", "5", "6"):
@@ -316,7 +340,7 @@ def test_join_closure_error_does_not_depend_on_the_hash_seed(tmp_path):
                 [sys.executable, "-m", "latlog.cli", *argv],
                 capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed})
             assert (proc.returncode, proc.stdout, proc.stderr) == (
-                4, "", "error: join j is undefined on (c, a)\n"), (argv[0], seed)
+                4, "", "error: join j is undefined on (a, c)\n"), (argv[0], seed)
 
 
 def test_a_domain_error_comes_before_arithmetic_on_the_rejected_term(capsys, tmp_path):

@@ -21,6 +21,8 @@ from latlog.lattice import (
     AnswerTable,
     DiscreteLattice,
     ExtendedNatLattice,
+    IntMaxLattice,
+    IntMinLattice,
     MaxLattice,
     MinLattice,
     PoLattice,
@@ -121,10 +123,10 @@ def test_product_join_is_componentwise():
     assert join_values(spec, x, y) == (Int(1), Int(2))
 
 
-def test_join_undefined_pair_is_an_error():
-    spec = UserJoinLattice("j", frozenset({(a, b, c)}))
-    with pytest.raises(JoinUndefinedError):
-        spec.join(a, c)
+def test_join_undefined_pair_is_an_error(lub):
+    # abstraction keeps e out of every group, so only a direct call gets here
+    with pytest.raises(JoinUndefinedError, match=r"\(a, e\)"):
+        lub.join(a, Symbol("e"))
 
 
 def test_user_join_law_validation():
@@ -137,34 +139,47 @@ def test_user_join_law_validation():
     with pytest.raises(LatticeLawViolationError,
                        match=r"not associative on \(a, b, c\)"):
         UserJoinLattice("j", frozenset({(a, b, a), (b, c, b), (a, c, c)}))
-    # (a v b) v c = d, but a v (b v c) = a v d is undefined: not a violation
-    UserJoinLattice("j", frozenset({(a, b, b), (a, c, c), (b, c, d)}))
+    # a v d is undefined, which is found before (a v b) v c = d and
+    # a v (b v c) = a v d could be compared
+    with pytest.raises(JoinUndefinedError, match=r"undefined on \(a, d\)"):
+        UserJoinLattice("j", frozenset({(a, b, b), (a, c, c), (b, c, d)}))
+    # a term outside the carrier, the terms the rows mention
+    with pytest.raises(DomainError, match="e is not in the carrier of join j"):
+        UserJoinLattice("j", frozenset({(a, b, b)})).abstract(Symbol("e"))
+    # a lone non-integer under the builtin min, which no join ever meets
+    specs = build_specs(parse_program(":- table p(lattice(min/3)).\n"))
+    with pytest.raises(DomainError, match="builtin join min needs integers, got foo"):
+        aggregate_atoms(specs, [Atom("p", (Symbol("foo"),))])
 
 
 def test_builtin_min_join_needs_integers():
-    spec = UserJoinLattice("min", None)
-    assert spec.join(Int(4), Int(2)) == Int(2)
-    with pytest.raises(DomainError):
-        spec.join(Int(1), a)
+    spec = IntMinLattice()
+    assert join_values(spec, Int(4), Int(2)) == Int(2)
+    assert join_values(IntMaxLattice(), Int(4), Int(2)) == Int(4)
+    assert spec.abstract(Int(1)) == Int(1)
+    with pytest.raises(DomainError, match="builtin join min needs integers, got a"):
+        spec.abstract(a)
+    with pytest.raises(DomainError, match="builtin join max needs integers, got a"):
+        IntMaxLattice().abstract(a)
 
 
-def test_only_builtin_user_joins_are_selective():
+def test_only_builtin_user_joins_are_selective(lub):
     # min and max return an operand, so closing a set under them adds nothing
-    assert UserJoinLattice("min", None).selective
-    assert UserJoinLattice("max", None).selective
-    assert not UserJoinLattice("j", frozenset({(a, b, c)})).selective
+    assert IntMinLattice().selective
+    assert IntMaxLattice().selective
+    assert not lub.selective
 
 
 def test_only_a_join_table_defined_on_its_whole_carrier_is_total(lub):
-    partial = UserJoinLattice("j", frozenset({(a, b, c)}))
-    assert lub.total
-    assert UserJoinLattice("min", None).total
-    assert not partial.total
-    assert not ProductLattice((MinLattice(), partial)).total
-    assert ProductLattice((MinLattice(), lub)).total
-    for kind in (MinLattice(), MaxLattice(), AllLattice(), DiscreteLattice(),
-                 ExtendedNatLattice(), PoLattice("o", frozenset({(a, b)}))):
-        assert kind.total
+    # a table is accepted only when it joins every pair of its carrier,
+    # and names the first pair it leaves undefined in term order
+    with pytest.raises(JoinUndefinedError, match=r"undefined on \(a, c\)"):
+        UserJoinLattice("j", frozenset({(a, b, c)}))
+    with pytest.raises(JoinUndefinedError, match=r"undefined on \(a, b\)"):
+        build_specs(parse_program("j(b,c,a).\n:- table p(index,min,lattice(j/3)).\n"))
+    for x in (a, b, c, d):
+        for y in (a, b, c, d):
+            assert join_values(lub, x, y) in (a, b, c, d)
 
 
 # --- order -------------------------------------------------------------
@@ -271,7 +286,7 @@ def test_abstract_represent_retraction():
 
 def test_untabled_predicates_get_the_discrete_kind(programs):
     specs = build_specs(programs["simple.pl"])
-    assert specs["p"].lattice.kind == "discrete"
+    assert isinstance(specs["p"].lattice, DiscreteLattice)
     assert specs["p"].in_positions == (0,)
     assert specs["p"].out_positions == ()
 
@@ -280,22 +295,22 @@ def test_output_position_split(programs):
     spec = build_specs(programs["shortest_path.pl"])["p"]
     assert spec.in_positions == (0, 1)
     assert spec.out_positions == (2,)
-    assert spec.lattice.kind == "userjoin"
+    assert isinstance(spec.lattice, IntMinLattice)
     assert spec.lattice.name == "min"
 
 
 def test_multiple_output_modes_build_a_product():
     prog = parse_program(":- table p(index, min, max).\np(a,1,2).\n")
     spec = build_specs(prog)["p"]
-    assert spec.lattice.kind == "product"
-    assert tuple(part.kind for part in spec.lattice.parts) == ("min", "max")
+    assert isinstance(spec.lattice, ProductLattice)
+    assert tuple(map(type, spec.lattice.parts)) == (MinLattice, MaxLattice)
     assert spec.in_positions == (0,)
     assert spec.out_positions == (1, 2)
 
 
 def test_max_inf_names_the_builtin_completion(programs):
     spec = build_specs(programs["longest_path.pl"])["p"]
-    assert spec.lattice.kind == "extnat"
+    assert isinstance(spec.lattice, ExtendedNatLattice)
 
 
 # --- eta, rho, aggregation ------------------------------------------------
@@ -440,21 +455,17 @@ def fold_outcome(atoms):
 @settings(max_examples=300, deadline=None)
 @given(st.data(), _fold_atoms)
 def test_aggregation_ignores_the_order_of_its_input(data, atoms):
-    # every lattice here is total, so the fold takes the atoms as they come
-    assert all(spec.lattice.total for spec in FOLD_SPECS.values())
     expected = fold_outcome(atom_sorted(atoms))
     assert fold_outcome(data.draw(st.permutations(atoms))) == expected
     assert fold_outcome(frozenset(atoms)) == expected
 
 
-def test_a_partial_join_table_folds_in_sorted_order():
-    # b v c = a is all the table says: folding b, c, a in that order
-    # would give a, but the sorted fold meets a and b first, and they
-    # have no join
-    specs = build_specs(parse_program("j(b,c,a).\n:- table p(lattice(j/3)).\n"))
-    assert not specs["p"].lattice.total
-    with pytest.raises(JoinUndefinedError, match=r"\(a, b\)"):
-        aggregate_atoms(specs, [Atom("p", (t,)) for t in (b, c, a)])
+def test_a_fold_names_the_first_rejected_atom_in_atom_order():
+    # z and y lie outside the carrier {a, b}: the fold in input order
+    # meets z first, and the sorted fold that follows names y
+    specs = build_specs(parse_program("j(a,b,b).\n:- table p(lattice(j/3)).\n"))
+    with pytest.raises(DomainError, match="^y is not in the carrier of join j$"):
+        aggregate_atoms(specs, [Atom("p", (t,)) for t in (a, Symbol("z"), b, Symbol("y"))])
 
 
 # --- rendering ------------------------------------------------------------
