@@ -78,7 +78,7 @@ from .reference import (
     stratified_reference_semantics,
     stratum_lfp,
 )
-from .terms import Atom, atom_sorted, atom_to_str, term_key
+from .terms import Atom, atom_key, atom_sorted, atom_to_str
 
 NO_VIOLATION = "no-violation-found"
 VIOLATION = "violation"
@@ -388,7 +388,7 @@ def diff_semantics(program: Program, fuel=DEFAULT_FUEL) -> DiffReport:
     greedy = stratified_greedy_semantics(program, fuel)
     diffs = []
     keys = set(reference.table.entries) | set(greedy.table.entries)
-    for key in sorted(keys, key=lambda k: (k[0], tuple(term_key(t) for t in k[1]))):
+    for key in sorted(keys, key=atom_key):
         rv, gv = reference.table.get(key), greedy.table.get(key)
         if rv != gv:
             diffs.append((key[0], key[1], rv, gv))

@@ -43,7 +43,7 @@ from .lattice import value_to_str
 from .parser import parse_program
 from .reference import stratified_reference_semantics
 from .stratify import stratify
-from .terms import Atom, atom_sorted, atom_to_str
+from .terms import atom_sorted, atom_to_str
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -99,18 +99,13 @@ def _max_atoms(text):
 # --- rendering ------------------------------------------------------------
 
 
-def _key_str(key):
-    pred, inputs = key
-    return atom_to_str(Atom(pred, inputs))
-
-
 def _table_lines(table, indent="  "):
-    return [f"{indent}{_key_str(key)} -> {value_to_str(value)}"
+    return [f"{indent}{atom_to_str(key)} -> {value_to_str(value)}"
             for key, value in table.sorted_items()]
 
 
 def _table_json(table):
-    return {_key_str(key): value_to_str(value) for key, value in table.sorted_items()}
+    return {atom_to_str(key): value_to_str(value) for key, value in table.sorted_items()}
 
 
 def _answer_strs(atoms):
@@ -228,7 +223,7 @@ _DIFF_ROW_CAP = 20
 
 def _cmd_diff(args, program):
     report = diff_semantics(program, args.fuel)
-    rows = [(f"{_key_str((pred, inputs))}", value_to_str(rv), value_to_str(gv))
+    rows = [(atom_to_str((pred, inputs)), value_to_str(rv), value_to_str(gv))
             for pred, inputs, rv, gv in report.per_key_diffs]
     if args.json:
         data = {

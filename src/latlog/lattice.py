@@ -5,9 +5,10 @@ of that predicate's lattice. Absent keys mean bottom; a table never
 stores bottom explicitly. Each lattice kind supplies a join, plus an
 abstraction from output terms to values and a representation back:
 abstract(represent(v)) = v for every value that can arise. Values are
-plain data: a term, a frozenset of terms, or a tuple of part values.
-Where the value is the output term itself, both conversions are the
-identity.
+plain data: a term, a frozenset of terms, or a plain tuple of part
+values. Terms are tuples too, so a product value is told apart by
+`type(v) is tuple`. Where the value is the output term itself, both
+conversions are the identity.
 
 Every lattice is checked at its boundary. A user's join table or order
 is checked for the laws when the lattice is built, and abstraction
@@ -59,6 +60,7 @@ from .terms import (
     ListTerm,
     Symbol,
     Term,
+    atom_key,
     atom_sorted,
     term_key,
     term_sorted,
@@ -103,15 +105,11 @@ class MinLattice(LatticeSpec):
     selective = True
 
     def join(self, x, y):
-        if type(x) is Int and type(y) is Int:  # the term order on two integers
-            return x if x.value <= y.value else y
         return x if term_key(x) <= term_key(y) else y
 
 
 class MaxLattice(MinLattice):
     def join(self, x, y):
-        if type(x) is Int and type(y) is Int:
-            return x if x.value >= y.value else y
         return x if term_key(x) >= term_key(y) else y
 
 
@@ -295,7 +293,7 @@ def value_to_str(value) -> str:
         if value == _TRUE:
             return "true"
         return "{" + ", ".join(term_to_str(t) for t in term_sorted(value)) + "}"
-    if isinstance(value, tuple):
+    if type(value) is tuple:
         return "(" + ", ".join(value_to_str(p) for p in value) + ")"
     return term_to_str(value)
 
@@ -391,12 +389,7 @@ class AnswerTable:
         return self.entries.get(key, BOTTOM)
 
     def sorted_items(self):
-        return sorted(self.entries.items(), key=lambda kv: _key_sort_key(kv[0]))
-
-
-def _key_sort_key(key):
-    pred, inputs = key
-    return (pred, len(inputs), tuple(term_key(t) for t in inputs))
+        return sorted(self.entries.items(), key=lambda kv: atom_key(kv[0]))
 
 
 def empty_table() -> AnswerTable:

@@ -34,9 +34,10 @@ from .program import (
     Var,
     clause_to_str,
     is_ground,
+    pattern_to_str,
     pattern_vars,
 )
-from .terms import MAX_INT_DIGITS, Compound, Int, ListTerm, Symbol, term_key, term_to_str
+from .terms import MAX_INT_DIGITS, Compound, Int, ListTerm, Symbol, term_key
 
 BUILTIN_JOIN_NAMES = frozenset({"min", "max", "max_inf"})
 # Deeper terms are refused: the engines compare and hash terms
@@ -496,14 +497,10 @@ def program_to_text(program: Program) -> str:
     for pred in sorted(program.directives):
         modes = ",".join(_mode_to_str(m) for m in program.directives[pred])
         lines.append(f":- table {pred}({modes}).")
-    for name in sorted(program.join_relations):
-        for row in sorted(program.join_relations[name],
-                          key=lambda r: tuple(term_key(t) for t in r)):
-            lines.append(f"{name}({','.join(term_to_str(t) for t in row)}).")
-    for name in sorted(program.order_relations):
-        for row in sorted(program.order_relations[name],
-                          key=lambda r: tuple(term_key(t) for t in r)):
-            lines.append(f"{name}({','.join(term_to_str(t) for t in row)}).")
+    for relations in (program.join_relations, program.order_relations):
+        for name in sorted(relations):
+            for row in sorted(relations[name], key=lambda r: tuple(map(term_key, r))):
+                lines.append(f"{name}({','.join(map(pattern_to_str, row))}).")
     for c in program.clauses:
         lines.append(clause_to_str(c))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -11,7 +11,7 @@ from functools import partial
 from operator import itemgetter
 
 from .errors import LatlogError
-from .terms import Atom, Compound, Int, ListTerm, Symbol, term_to_str
+from .terms import Atom, Compound, ListTerm, term_to_str
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def term_builder(p, slots):
         return unbound(p.name) if s is None else itemgetter(s)
     if is_ground(p):
         return lambda sl: p
-    parts = [term_builder(a, slots) for a in _parts(p)]
+    parts = [term_builder(a, slots) for a in p[-1]]
     make = partial(Compound, p.functor) if isinstance(p, Compound) else ListTerm
     return lambda sl: make(tuple([b(sl) for b in parts]))
 
@@ -132,16 +132,12 @@ def term_matcher(p, slots, new_slot):
         return bind
     if is_ground(p):
         return lambda t, sl: t == p
-    shape, parts = _shape(p), [term_matcher(a, slots, new_slot) for a in _parts(p)]
-    return lambda t, sl: _shape(t) == shape and all(m(a, sl) for m, a in zip(parts, _parts(t)))
-
-
-def _parts(t):
-    return getattr(t, "args", None) or getattr(t, "elements", ())
-
-
-def _shape(t):
-    return type(t), getattr(t, "functor", None), len(_parts(t))
+    # a compound or a list: its last item holds the arguments, and the
+    # items before it (the tag, and a compound's functor) must be equal
+    head, n = p[:-1], len(p[-1])
+    parts = [term_matcher(a, slots, new_slot) for a in p[-1]]
+    return lambda t, sl: (t[:-1] == head and len(t[-1]) == n
+                          and all(m(a, sl) for m, a in zip(parts, t[-1])))
 
 
 def fact_clause(atom: Atom) -> Clause:

@@ -5,21 +5,24 @@ The order is: integers first, then symbols, then compound terms
 (by length, then elements). It is deterministic and total on ground
 terms, which is all the evaluator ever compares.
 
-Terms and atoms are immutable and hashed by their fields, like frozen
-dataclasses, but each computes its hash once, when it is built, and
-keeps it: the engines hash the same atoms over and over in sets and
-index buckets, and a compound hash would otherwise recurse into every
-argument each time. Equality is the dataclass field comparison.
+Terms and atoms are tuples, so hashing and equality are the tuple's
+own and run in C; each class keeps its constructor, and its fields are
+properties. A term starts with a tag: Int(5) is (0, 5), Symbol("a") is
+(1, "a"), Compound(f, args) is (2, f, args) and ListTerm(es) is
+(3, es). So terms of different kinds never compare equal, and on
+integers and symbols the tuple order is the term order. A product
+lattice value is a plain tuple of terms and frozensets, never equal to
+a term, whose first item is an int. Atom(pred, args) is (pred, args):
+it equals the answer key with the same fields, which no container
+mixes with atoms, and the atom functions below take keys too.
 The parser and `is` keep integers within MAX_INT_DIGITS decimal
 digits, so that every term can be printed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Union
-
-_set = object.__setattr__
 
 # No integer may have more decimal digits than this. Printing one takes
 # time quadratic in its length, which is why Python refuses to convert
@@ -27,74 +30,52 @@ _set = object.__setattr__
 MAX_INT_DIGITS = 4000
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Int:
-    value: int
-    _hash: int = field(repr=False, compare=False)
+class Int(tuple):
+    __slots__ = ()
+    value = property(itemgetter(1))
 
-    def __init__(self, value):
-        _set(self, "value", value)
-        _set(self, "_hash", hash((value,)))
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, value):
+        return tuple.__new__(cls, (0, value))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Symbol:
-    name: str
-    _hash: int = field(repr=False, compare=False)
+class Symbol(tuple):
+    __slots__ = ()
+    name = property(itemgetter(1))
 
-    def __init__(self, name):
-        _set(self, "name", name)
-        _set(self, "_hash", hash((name,)))
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, name):
+        return tuple.__new__(cls, (1, name))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Compound:
-    functor: str
-    args: tuple
-    _hash: int = field(repr=False, compare=False)
+class Compound(tuple):
+    __slots__ = ()
+    functor = property(itemgetter(1))
+    args = property(itemgetter(2))
 
-    def __init__(self, functor, args):
-        _set(self, "functor", functor)
-        _set(self, "args", args)
-        _set(self, "_hash", hash((functor, args)))
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, functor, args):
+        return tuple.__new__(cls, (2, functor, args))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ListTerm:
-    elements: tuple
-    _hash: int = field(repr=False, compare=False)
+class ListTerm(tuple):
+    __slots__ = ()
+    elements = property(itemgetter(1))
 
-    def __init__(self, elements):
-        _set(self, "elements", elements)
-        _set(self, "_hash", hash((elements,)))
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, elements):
+        return tuple.__new__(cls, (3, elements))
 
 
 Term = Union[Int, Symbol, Compound, ListTerm]
 
 
 def term_key(t):
-    """Sort key realizing the total order on ground terms."""
-    if isinstance(t, Int):
-        return (0, t.value)
-    if isinstance(t, Symbol):
-        return (1, t.name)
-    if isinstance(t, Compound):
-        return (2, t.functor, len(t.args), tuple(term_key(a) for a in t.args))
-    if isinstance(t, ListTerm):
-        return (3, len(t.elements), tuple(term_key(e) for e in t.elements))
-    raise TypeError(f"not a ground term: {t!r}")
+    """Sort key realizing the total order on ground terms. An integer or
+    a symbol is its own key; a compound or a list puts its arity or
+    length before the keys of its arguments."""
+    tag = t[0]
+    if tag < 2:
+        return t
+    if tag == 2:
+        return (2, t[1], len(t[2]), tuple([term_key(a) for a in t[2]]))
+    return (3, len(t[1]), tuple([term_key(e) for e in t[1]]))
 
 
 def term_sorted(terms):
@@ -102,43 +83,37 @@ def term_sorted(terms):
 
 
 def term_to_str(t):
-    if isinstance(t, Int):
-        return str(t.value)
-    if isinstance(t, Symbol):
-        return t.name
-    if isinstance(t, Compound):
-        inner = ",".join(term_to_str(a) for a in t.args)
-        return f"{t.functor}({inner})"
-    if isinstance(t, ListTerm):
-        inner = ",".join(term_to_str(e) for e in t.elements)
-        return f"[{inner}]"
+    tag = t[0]
+    if tag == 0:
+        return str(t[1])
+    if tag == 1:
+        return t[1]
+    if tag == 2:
+        return f"{t[1]}({','.join(map(term_to_str, t[2]))})"
+    if tag == 3:
+        return f"[{','.join(map(term_to_str, t[1]))}]"
     raise TypeError(f"not a ground term: {t!r}")
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Atom:
-    pred: str
-    args: tuple
-    _hash: int = field(repr=False, compare=False)
+class Atom(tuple):
+    __slots__ = ()
+    pred = property(itemgetter(0))
+    args = property(itemgetter(1))
 
-    def __init__(self, pred, args):
-        _set(self, "pred", pred)
-        _set(self, "args", args)
-        _set(self, "_hash", hash((pred, args)))
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, pred, args):
+        return tuple.__new__(cls, (pred, args))
 
 
-def atom_key(a: Atom):
-    return (a.pred, len(a.args), tuple(term_key(t) for t in a.args))
+def atom_key(a):
+    return (a[0], len(a[1]), tuple([term_key(t) for t in a[1]]))
 
 
 def atom_sorted(atoms):
     return sorted(atoms, key=atom_key)
 
 
-def atom_to_str(a: Atom) -> str:
-    if not a.args:
-        return a.pred
-    return f"{a.pred}({','.join(term_to_str(t) for t in a.args)})"
+def atom_to_str(a) -> str:
+    pred, args = a
+    if not args:
+        return pred
+    return f"{pred}({','.join(map(term_to_str, args))})"

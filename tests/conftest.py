@@ -104,6 +104,22 @@ def recompute_sides(program, witness, fuel):
     return lhs, aggregate_atoms(specs, immediate_step(program.clauses, collapsed))
 
 
+# --- the term order read off the fields: the oracle for term_key ------------
+
+
+def field_term_key(t):
+    """The sort key of the term order, built from each term's fields."""
+    if isinstance(t, Int):
+        return (0, t.value)
+    if isinstance(t, Symbol):
+        return (1, t.name)
+    if isinstance(t, Compound):
+        return (2, t.functor, len(t.args), tuple(field_term_key(a) for a in t.args))
+    if isinstance(t, ListTerm):
+        return (3, len(t.elements), tuple(field_term_key(e) for e in t.elements))
+    raise TypeError(f"not a ground term: {t!r}")
+
+
 # --- the dict-binding walk: the oracle for compiled clause plans ------------
 #
 # A depth-first walk over the body that copies a dict of bindings at

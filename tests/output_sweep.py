@@ -76,6 +76,30 @@ EDGE_PROGRAMS = {
         "lub(a,b,c). lub(a,c,c). lub(a,d,d). lub(b,c,c). lub(b,d,d). lub(c,d,d).\n"
         ":- table p(index,lattice(lub/3)).\n"
         "p(k1,a). p(k1,b). p(k2,a). p(k2,b). p(k3,a). p(k3,b). p(k4,a). p(k4,b).\n",
+    # terms of every kind: min, max and all over integers, symbols,
+    # compounds of two arities and lists of three lengths; compound and
+    # list keys; compound and list patterns in bodies and heads; a join
+    # table whose row holds an operator term
+    "mixed_kinds.pl":
+        ":- table lo(index,min).\n:- table hi(index,max).\n:- table every(index,all).\n"
+        "v(k,3). v(k,-2). v(k,b). v(k,f(1)). v(k,f(1,2)). v(k,f(a)). v(j,[]). v(j,[1,2]).\n"
+        "v(j,[3]). v(j,g(0)). v(j,a). v(j,[a,b,c]).\n"
+        "lo(K,X) :- v(K,X).\nhi(K,X) :- v(K,X).\nevery(K,X) :- v(K,X).\n",
+    "compound_keys.pl":
+        ":- table d(index,min,max).\n"
+        "e(f(a),g(1),3). e(f(a),g(1),f(2)). e([a,b],h(x,y),5). e([a],h(x,y),[1]).\n"
+        "e([a,b],h(x,y),[]). e(f(a),g(2),b).\n"
+        "d(pair(X,Y),C,C) :- e(X,Y,C).\n",
+    "compound_patterns.pl":
+        ":- table best(index,max).\n:- table kin(index,all).\n"
+        "edge(f(a,1),[x,y]). edge(f(b,2),[x]). edge(g(a),[y,z,w]). edge(f(a,3),[z]).\n"
+        "edge(f(c,0),[]).\n"
+        "best(s(X),[N,Y]) :- edge(f(X,N),[Y]).\n"
+        "best(s(X),[N,Y,Z]) :- edge(f(X,N),[Y,Z]).\n"
+        "kin(X,f(Y)) :- edge(g(X),[Y,_,W]), W = w.\n"
+        "kin(X,[N]) :- best(s(X),[N,_]).\n",
+    "operator_join_row.pl":
+        "j(1+2,a,a).\n:- table p(lattice(j/3)).\np(a). p(1+2).\n",
 }
 
 

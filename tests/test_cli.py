@@ -329,20 +329,6 @@ def test_fold_outcome_does_not_depend_on_the_hash_seed(text, commands, code, mes
         assert outputs[command].pop() == (code, "", f"error: {expected}\n"), command
 
 
-def test_join_closure_error_does_not_depend_on_the_hash_seed(tmp_path):
-    # j is undefined on (a, c), the first such pair in term order, so
-    # the program is refused when its lattices are built, before any
-    # closure or fold runs, through eval and the checker alike
-    f = write(tmp_path, "j(a,b,c).\n:- table p(lattice(j/3)).\np(a). p(b). p(c).\n")
-    for argv in (["eval", f, "--engine", "reference"], ["check", f]):
-        for seed in ("1", "2", "3", "4", "5", "6"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "latlog.cli", *argv],
-                capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed})
-            assert (proc.returncode, proc.stdout, proc.stderr) == (
-                4, "", "error: join j is undefined on (a, c)\n"), (argv[0], seed)
-
-
 def test_a_domain_error_comes_before_arithmetic_on_the_rejected_term(capsys, tmp_path):
     # p(a,foo) is rejected in the step that derives it, before the rule
     # that adds 1 to it fires in the same stratum

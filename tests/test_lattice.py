@@ -61,16 +61,18 @@ def test_min_join_takes_lesser():
 
 
 def test_min_max_joins_follow_the_term_order():
-    # two integers are compared by value, any other pair by term_key
+    # every pair, of any two kinds, is compared by term_key
     rng = random.Random(1313)
 
     def term():
         r = rng.random()
-        if r < 0.6:
+        if r < 0.5:
             return Int(rng.randint(-5, 5))
-        if r < 0.8:
+        if r < 0.7:
             return Symbol(rng.choice("abc"))
-        return Compound("f", (Int(rng.randint(0, 2)),))
+        if r < 0.85:
+            return Compound("f", (Int(rng.randint(0, 2)),))
+        return ListTerm(tuple(Int(rng.randint(0, 2)) for _ in range(rng.randint(0, 2))))
 
     for _ in range(300):
         x, y = term(), term()

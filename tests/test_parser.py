@@ -206,9 +206,13 @@ def test_integer_tokens_are_bounded():
 # --- round trip --------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", CORPUS_FILES)
+# inline programs, beside the corpus: a relation row holding an operator term
+ROUND_TRIP_TEXTS = ["j(1+2,a,a). :- table p(lattice(j/3)). p(a)."]
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES + ROUND_TRIP_TEXTS)
 def test_canonical_text_round_trips(name, programs):
-    prog = programs[name]
+    prog = programs[name] if name in programs else parse_program(name)
     text = program_to_text(prog)
     again = parse_program(text)
     assert again.clauses == prog.clauses

@@ -28,9 +28,11 @@ from latlog.reference import (
 from latlog.terms import Atom, Compound, Int, ListTerm, Symbol, atom_sorted
 
 VARS = ("X", "Y", "Z", "W")
+# f/2 and the one-element list share a functor or a kind with a
+# pattern below but not its arity or length
 TERMS = (Int(0), Int(1), Int(2), Symbol("a"), Compound("f", (Int(1),)),
          Compound("g", (Int(1), Symbol("a"))), ListTerm((Int(1), Int(2))),
-         ListTerm((Int(2), Int(2))))
+         ListTerm((Int(2), Int(2))), Compound("f", (Int(1), Int(2))), ListTerm((Int(1),)))
 PREDS = {"e": 2, "q": 1}
 
 atoms = st.one_of(

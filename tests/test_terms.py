@@ -2,6 +2,7 @@
 
 import random
 
+from conftest import field_term_key
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,17 +89,41 @@ def test_atom_sorted_orders_by_pred_then_args():
     assert [atom_to_str(a) for a in atom_sorted(atoms)] == ["p(1)", "p(2)", "q(1)"]
 
 
+# each kind's tag, then its fields
+LAYOUTS = {Int: (0, "value"), Symbol: (1, "name"), Compound: (2, "functor", "args"),
+           ListTerm: (3, "elements")}
+
+
 @given(terms())
-def test_hash_is_that_of_the_field_tuple(t):
-    # the hash a frozen dataclass would compute, so sets iterate as before
-    if isinstance(t, Int):
-        assert hash(t) == hash((t.value,))
-    elif isinstance(t, Symbol):
-        assert hash(t) == hash((t.name,))
-    elif isinstance(t, Compound):
-        assert hash(t) == hash((t.functor, t.args))
-    else:
-        assert hash(t) == hash((t.elements,))
+def test_a_term_is_its_tagged_tuple(t):
+    tag, *fields = LAYOUTS[type(t)]
+    layout = (tag, *(getattr(t, f) for f in fields))
+    assert t == layout and hash(t) == hash(layout)
     atom = Atom("p", (t, Int(1)))
-    assert hash(atom) == hash(("p", (t, Int(1))))
-    assert atom == Atom("p", (t, Int(1))) and atom != Atom("q", (t, Int(1)))
+    assert atom == ("p", (t, Int(1))) and hash(atom) == hash(("p", (t, Int(1))))
+    assert atom.pred == "p" and atom.args == (t, Int(1))
+    assert atom != Atom("q", (t, Int(1)))
+    if type(t) in (Int, Symbol):
+        assert term_key(t) is t
+
+
+def test_terms_of_different_kinds_are_never_equal():
+    lookalikes = [Int(1), Symbol(1), Symbol("f"), Compound("f", ()), ListTerm(()),
+                  Compound("f", (Int(1),)), ListTerm((Int(1),))]
+    assert len(set(lookalikes)) == len(lookalikes)
+
+
+@given(terms(), terms())
+def test_a_product_value_never_equals_a_term(a, b):
+    # a product value is a plain tuple of part values: terms or frozensets
+    for value in [(a, b), (frozenset((a,)), b), (a, frozenset((b,)))]:
+        assert value != a and value != b
+
+
+@given(st.lists(terms(3), min_size=2, max_size=8))
+@settings(max_examples=300)
+def test_term_key_orders_as_the_field_key(ts):
+    for a in ts:
+        for b in ts:
+            ka, kb, fa, fb = term_key(a), term_key(b), field_term_key(a), field_term_key(b)
+            assert (ka < kb, ka == kb, ka > kb) == (fa < fb, fa == fb, fa > fb)
