@@ -63,7 +63,7 @@ from functools import partial
 
 from .errors import InternalInconsistencyError, LatlogError, LatticeError
 from .greedy import stratified_greedy_semantics
-from .lattice import AnswerTable, aggregate_atoms, build_specs, join_values, table_atoms
+from .lattice import aggregate_atoms, build_specs, join_values, table_atoms
 from .program import Call, Clause, Program
 from .reference import (
     DEFAULT_FUEL,
@@ -109,8 +109,8 @@ class CheckReport:
     strategy: CheckStrategy
     tested: int
     witness: frozenset = None
-    lhs: object = None      # AnswerTable on a violation
-    rhs: object = None
+    lhs: dict = None        # the two sides' tables, on a violation
+    rhs: dict = None
     reason: str = None      # set when inconclusive
 
 
@@ -265,7 +265,7 @@ class _FiringTable:
                 entries[key] = value if old is None else join_values(lattice, old, value)
         except KeyError:
             return aggregate_atoms(self.specs, atoms)
-        return AnswerTable(entries)
+        return entries
 
 
 def _compare(x, step, aggregate, specs, fuel, checked):
@@ -387,7 +387,7 @@ def diff_semantics(program: Program, fuel=DEFAULT_FUEL) -> DiffReport:
     reference = stratified_reference_semantics(program, fuel)
     greedy = stratified_greedy_semantics(program, fuel)
     diffs = []
-    keys = set(reference.table.entries) | set(greedy.table.entries)
+    keys = reference.table.keys() | greedy.table.keys()
     for key in sorted(keys, key=atom_key):
         rv, gv = reference.table.get(key), greedy.table.get(key)
         if rv != gv:

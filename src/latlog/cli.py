@@ -18,7 +18,6 @@ import json
 import sys
 
 from .checker import (
-    INCONCLUSIVE,
     NO_VIOLATION,
     VIOLATION,
     CheckStrategy,
@@ -39,7 +38,7 @@ from .errors import (
     UnsupportedModeError,
 )
 from .greedy import stratified_greedy_semantics
-from .lattice import value_to_str
+from .lattice import sorted_items, value_to_str
 from .parser import parse_program
 from .reference import stratified_reference_semantics
 from .stratify import stratify
@@ -101,11 +100,11 @@ def _max_atoms(text):
 
 def _table_lines(table, indent="  "):
     return [f"{indent}{atom_to_str(key)} -> {value_to_str(value)}"
-            for key, value in table.sorted_items()]
+            for key, value in sorted_items(table)]
 
 
 def _table_json(table):
-    return {atom_to_str(key): value_to_str(value) for key, value in table.sorted_items()}
+    return {atom_to_str(key): value_to_str(value) for key, value in sorted_items(table)}
 
 
 def _answer_strs(atoms):

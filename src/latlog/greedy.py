@@ -30,7 +30,7 @@ only the fixpoint differs.
 
 from __future__ import annotations
 
-from .lattice import AnswerTable, aggregate_atoms, empty_table, join_values, table_atoms
+from .lattice import aggregate_atoms, join_values, table_atoms
 from .program import Program
 from .reference import (
     DEFAULT_FUEL,
@@ -57,36 +57,36 @@ def greedy_fixpoint(clauses, specs, fuel, trace=None) -> FixpointResult:
     table along the run for the checker's trace strategy.
     """
     plans = clause_plans(clauses)
-    entries = {}
+    table = {}
     idx = _AtomIndex()  # the atoms of the current table
     delta = None        # the atoms the last step added; None before the first
     if trace is not None:
-        trace.append(empty_table())
+        trace.append({})
     steps = 0
     while steps < fuel:
         derived = set()
         _fire_delta(plans, idx, derived, delta)
         steps += 1
         delta = []
-        for key, value in aggregate_atoms(specs, derived).entries.items():
+        for key, value in aggregate_atoms(specs, derived).items():
             spec = specs[key[0]]
-            old = entries.get(key)
+            old = table.get(key)
             if old is not None:
                 value = join_values(spec.lattice, old, value)
                 if value == old:
                     continue
                 idx.discard(spec.atom_of(key, old))
-            entries[key] = value
+            table[key] = value
             atom = spec.atom_of(key, value)
             idx.add(atom)
             delta.append(atom)
         if not delta:
-            return FixpointResult(True, AnswerTable(entries), steps)
+            return FixpointResult(True, table, steps)
         if trace is not None:
-            trace.append(AnswerTable(dict(entries)))
-        if len(entries) > fuel:
+            trace.append(dict(table))
+        if len(table) > fuel:
             break
-    return FixpointResult(False, AnswerTable(entries), steps)
+    return FixpointResult(False, table, steps)
 
 
 def stratified_greedy_semantics(program: Program, fuel=DEFAULT_FUEL,

@@ -1,14 +1,16 @@
 """Answer lattices, per-predicate specs, and answer tables.
 
-An answer table maps (predicate, indexed-argument tuple) keys to values
-of that predicate's lattice. Absent keys mean bottom; a table never
-stores bottom explicitly. Each lattice kind supplies a join, plus an
-abstraction from output terms to values and a representation back:
-abstract(represent(v)) = v for every value that can arise. Values are
-plain data: a term, a frozenset of terms, or a plain tuple of part
-values. Terms are tuples too, so a product value is told apart by
-`type(v) is tuple`. Where the value is the output term itself, both
-conversions are the identity.
+An answer table is a dict from (predicate, indexed-argument tuple) keys
+to values of that predicate's lattice. An absent key is bottom; a table
+never stores bottom, and `table.get(key)` gives None for it. Each
+lattice kind supplies a join, plus an abstraction from output terms to
+values and a representation back: abstract(represent(v)) = v for every
+value that can arise. Values are plain data: a term, a frozenset of
+terms, or a plain tuple of part values. Terms are tuples too, so a
+product value is told apart by `type(v) is tuple`. Where the value is
+the output term itself, both conversions are the identity. A product
+abstracts the tuple of its output terms part by part, and represents
+a value as such a tuple.
 
 Every lattice is checked at its boundary. A user's join table or order
 is checked for the laws when the lattice is built, and abstraction
@@ -45,7 +47,7 @@ Kinds, each with the type of its values:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     DomainError,
@@ -59,7 +61,6 @@ from .terms import (
     Int,
     ListTerm,
     Symbol,
-    Term,
     atom_key,
     atom_sorted,
     term_key,
@@ -70,14 +71,6 @@ from .terms import (
 DUMMY = Symbol("$unit")
 INFTY = Symbol("infty")
 _TRUE = frozenset((DUMMY,))
-
-
-class _BottomType:
-    def __repr__(self):
-        return "Bottom"
-
-
-BOTTOM = _BottomType()
 
 
 # --- lattice kinds -----------------------------------------------------
@@ -132,22 +125,20 @@ class DiscreteLattice(AllLattice):
     selective = True
 
 
-@dataclass(frozen=True)
 class PoLattice(AllLattice):
-    name: str
-    pairs: frozenset  # (x, y) meaning x precedes y; reflexivity implicit
-
-    def __post_init__(self):
-        for (x, y) in self.pairs:
-            if x != y and (y, x) in self.pairs:
+    def __init__(self, name, pairs):
+        self.name = name
+        self.pairs = pairs  # (x, y) meaning x precedes y; reflexivity implicit
+        for (x, y) in pairs:
+            if x != y and (y, x) in pairs:
                 raise LatticeLawViolationError(
-                    f"order {self.name} is not antisymmetric "
+                    f"order {name} is not antisymmetric "
                     f"on ({term_to_str(x)}, {term_to_str(y)})")
-        for (x, y) in self.pairs:
-            for (y2, z) in self.pairs:
-                if y == y2 and x != z and (x, z) not in self.pairs:
+        for (x, y) in pairs:
+            for (y2, z) in pairs:
+                if y == y2 and x != z and (x, z) not in pairs:
                     raise LatticeLawViolationError(
-                        f"order {self.name} is not transitive at "
+                        f"order {name} is not transitive at "
                         f"({term_to_str(x)}, {term_to_str(y)}, {term_to_str(z)})")
 
     def precedes(self, x, y):
@@ -186,42 +177,38 @@ class IntMaxLattice(IntMinLattice, MaxLattice):
     name = "max"
 
 
-@dataclass(frozen=True)
 class UserJoinLattice(LatticeSpec):
-    name: str
-    rows: frozenset  # (x, y, z) meaning x v y = z
-
-    def __post_init__(self):
-        table = {}
-        for (x, y, z) in self.rows:
+    def __init__(self, name, rows):
+        self.name = name
+        self._table = table = {}  # (x, y) -> z, from the rows (x, y, z): x v y = z
+        for (x, y, z) in rows:
             if table.setdefault((x, y), z) != z:
                 raise LatticeLawViolationError(
-                    f"join {self.name} is not functional "
+                    f"join {name} is not functional "
                     f"on ({term_to_str(x)}, {term_to_str(y)})")
         for (x, y), z in table.items():
             w = table.get((y, x))
             if w is not None and w != z:
                 raise LatticeLawViolationError(
-                    f"join {self.name} is not commutative "
+                    f"join {name} is not commutative "
                     f"on ({term_to_str(x)}, {term_to_str(y)})")
             if x == y and z != x:
                 raise LatticeLawViolationError(
-                    f"join {self.name} is not idempotent on {term_to_str(x)}")
+                    f"join {name} is not idempotent on {term_to_str(x)}")
         # sorted, so that the pair or triple an error names is reproducible
-        carrier = term_sorted({t for row in self.rows for t in row})
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_carrier", frozenset(carrier))
+        carrier = term_sorted({t for row in rows for t in row})
+        self._carrier = frozenset(carrier)
         for x in carrier:
             for y in carrier:
                 if self._lookup(x, y) is None:
-                    raise JoinUndefinedError(self.name, term_to_str(x), term_to_str(y))
+                    raise JoinUndefinedError(name, term_to_str(x), term_to_str(y))
         for x in carrier:
             for y in carrier:
                 xy = self._lookup(x, y)
                 for z in carrier:
                     if self._lookup(xy, z) != self._lookup(x, self._lookup(y, z)):
                         raise LatticeLawViolationError(
-                            f"join {self.name} is not associative on "
+                            f"join {name} is not associative on "
                             f"({term_to_str(x)}, {term_to_str(y)}, {term_to_str(z)})")
 
     def _lookup(self, a, b):
@@ -254,40 +241,33 @@ class ExtendedNatLattice(MaxLattice):
         raise DomainError(f"{term_to_str(term)} is not an extended natural")
 
 
-@dataclass(frozen=True)
 class ProductLattice(LatticeSpec):
-    parts: tuple
+    """Componentwise; abstracts a tuple of output terms, one per part."""
+
+    def __init__(self, parts):
+        self.parts = parts
 
     def join(self, x, y):
         return tuple([p.join(a, b) for p, a, b in zip(self.parts, x, y)])
 
-    def abstract(self, term):
-        if not isinstance(term, ListTerm) or len(term.elements) != len(self.parts):
-            raise DomainError(
-                f"{term_to_str(term)} does not fit a {len(self.parts)}-part product")
-        return tuple(p.abstract(e) for p, e in zip(self.parts, term.elements))
+    def abstract(self, terms):
+        return tuple([p.abstract(t) for p, t in zip(self.parts, terms)])
 
     def represent(self, value):
-        return ListTerm(tuple(p.represent(v) for p, v in zip(self.parts, value)))
+        return tuple([p.represent(v) for p, v in zip(self.parts, value)])
 
 
 # --- value-level operations --------------------------------------------
 
 
 def join_values(spec: LatticeSpec, x, y):
-    """Join two values; bottom is the identity and x v x = x always."""
-    if x is BOTTOM:
-        return y
-    if y is BOTTOM:
-        return x
-    if x == y:
-        return x
-    return spec.join(x, y)
+    """Join two values; x v x = x always."""
+    return x if x == y else spec.join(x, y)
 
 
 def value_to_str(value) -> str:
-    """Human-readable form of a lattice value, for reports."""
-    if value is BOTTOM:
+    """Human-readable form of a lattice value, for reports; None is bottom."""
+    if value is None:
         return "bottom"
     if isinstance(value, frozenset):
         if value == _TRUE:
@@ -301,41 +281,46 @@ def value_to_str(value) -> str:
 # --- per-predicate specs ------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _picker(positions):
+    """A function from an argument tuple to the tuple of its items at `positions`."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
+
+
 class PredSpec:
-    pred: str
-    arity: int
-    in_positions: tuple
-    out_positions: tuple
-    lattice: LatticeSpec
+    """How one predicate's atoms map to table keys and values, and back.
+    A product's value abstracts the tuple of its output arguments."""
+
+    __slots__ = ("pred", "in_positions", "out_positions", "lattice",
+                 "_inputs", "_outputs", "_place")
+
+    def __init__(self, pred, arity, in_positions, out_positions, lattice):
+        self.pred = pred
+        self.in_positions = in_positions
+        self.out_positions = out_positions
+        self.lattice = lattice
+        self._inputs = _picker(in_positions)
+        self._outputs = (itemgetter(out_positions[0]) if len(out_positions) == 1
+                         else _picker(out_positions) if out_positions else lambda args: DUMMY)
+        # atom_of lays out the inputs, then the output terms; this puts
+        # them back in argument order
+        order = in_positions + out_positions
+        self._place = (None if order == tuple(range(arity))
+                       else itemgetter(*map(order.index, range(arity))))
 
     def key_of(self, atom: Atom):
-        return (self.pred, tuple(atom.args[i] for i in self.in_positions))
-
-    def output_of(self, atom: Atom) -> Term:
-        if not self.out_positions:
-            return DUMMY
-        if len(self.out_positions) == 1:
-            return atom.args[self.out_positions[0]]
-        return ListTerm(tuple(atom.args[i] for i in self.out_positions))
+        return (self.pred, self._inputs(atom.args))
 
     def abstract_atom(self, atom: Atom):
-        return self.lattice.abstract(self.output_of(atom))
+        return self.lattice.abstract(self._outputs(atom.args))
 
     def atom_of(self, key, value) -> Atom:
-        _, inputs = key
         if not self.out_positions:  # every position is an index
-            return Atom(self.pred, inputs)
-        args = [None] * self.arity
-        for i, pos in enumerate(self.in_positions):
-            args[pos] = inputs[i]
+            return Atom(self.pred, key[1])
         rep = self.lattice.represent(value)
-        if len(self.out_positions) == 1:
-            args[self.out_positions[0]] = rep
-        else:
-            for pos, part in zip(self.out_positions, rep.elements):
-                args[pos] = part
-        return Atom(self.pred, tuple(args))
+        args = key[1] + (rep if len(self.out_positions) > 1 else (rep,))
+        return Atom(self.pred, args if self._place is None else self._place(args))
 
 
 def _mode_lattice(mode: Mode, program: Program) -> LatticeSpec:
@@ -361,39 +346,24 @@ def build_specs(program: Program) -> dict:
     specs = {}
     for pred, arity in program.arities().items():
         modes = program.directives.get(pred, (Mode("index"),) * arity)
-        outs = [(i, m) for i, m in enumerate(modes) if m.kind != "index"]
+        outs = tuple(i for i, m in enumerate(modes) if m.kind != "index")
+        ins = tuple(i for i in range(arity) if i not in outs)
         if not outs:
-            specs[pred] = PredSpec(pred, arity, tuple(range(arity)), (),
-                                   DiscreteLattice())
+            lattice = DiscreteLattice()
         elif len(outs) == 1:
-            pos, mode = outs[0]
-            ins = tuple(i for i in range(arity) if i != pos)
-            specs[pred] = PredSpec(pred, arity, ins, (pos,),
-                                   _mode_lattice(mode, program))
+            lattice = _mode_lattice(modes[outs[0]], program)
         else:
-            positions = tuple(i for i, _ in outs)
-            ins = tuple(i for i in range(arity) if i not in positions)
-            lattice = ProductLattice(tuple(_mode_lattice(m, program) for _, m in outs))
-            specs[pred] = PredSpec(pred, arity, ins, positions, lattice)
+            lattice = ProductLattice(tuple(_mode_lattice(modes[i], program) for i in outs))
+        specs[pred] = PredSpec(pred, arity, ins, outs, lattice)
     return specs
 
 
 # --- answer tables --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnswerTable:
-    entries: dict  # (pred, inputs) -> value; never BOTTOM
-
-    def get(self, key):
-        return self.entries.get(key, BOTTOM)
-
-    def sorted_items(self):
-        return sorted(self.entries.items(), key=lambda kv: atom_key(kv[0]))
-
-
-def empty_table() -> AnswerTable:
-    return AnswerTable({})
+def sorted_items(table):
+    """A table's (key, value) pairs, ordered by predicate, then inputs."""
+    return sorted(table.items(), key=lambda kv: atom_key(kv[0]))
 
 
 def _spec_for(specs, pred):
@@ -403,24 +373,24 @@ def _spec_for(specs, pred):
         raise DomainError(f"no mode information for predicate {pred}") from None
 
 
-def table_atoms(specs, table: AnswerTable) -> frozenset:
+def table_atoms(specs, table) -> frozenset:
     """All atoms a table claims true (the extraction half of aggregation)."""
     return frozenset(_spec_for(specs, key[0]).atom_of(key, value)
-                     for key, value in table.entries.items())
+                     for key, value in table.items())
 
 
 def _fold(specs, atoms):
-    entries = {}
+    table = {}
     for atom in atoms:
         spec = _spec_for(specs, atom.pred)
         key = spec.key_of(atom)
         value = spec.abstract_atom(atom)
-        old = entries.get(key)
-        entries[key] = value if old is None else join_values(spec.lattice, old, value)
-    return AnswerTable(entries)
+        old = table.get(key)
+        table[key] = value if old is None else join_values(spec.lattice, old, value)
+    return table
 
 
-def aggregate_atoms(specs, atoms) -> AnswerTable:
+def aggregate_atoms(specs, atoms) -> dict:
     """Fold a set of atoms into one table, joining collisions per key.
 
     The join of two accepted values is always defined, so the fold
@@ -435,13 +405,11 @@ def aggregate_atoms(specs, atoms) -> AnswerTable:
         return _fold(specs, atom_sorted(atoms))
 
 
-def table_join(specs, tables) -> AnswerTable:
-    entries = {}
+def table_join(specs, tables) -> dict:
+    joined = {}
     for t in tables:
-        for key, value in t.sorted_items():
-            old = entries.get(key)
-            if old is None:
-                entries[key] = value
-            else:
-                entries[key] = join_values(_spec_for(specs, key[0]).lattice, old, value)
-    return AnswerTable(entries)
+        for key, value in t.items():
+            old = joined.get(key)
+            joined[key] = (value if old is None
+                           else join_values(_spec_for(specs, key[0]).lattice, old, value))
+    return joined

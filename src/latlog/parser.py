@@ -11,9 +11,10 @@ Programs are lists of clauses (`Head.` or `Head :- B1, ..., Bn.`),
 
 Predicates named by lattice/po modes must be defined by ground facts
 (they are extracted into the program's join/order relations and do not
-take part in evaluation) or name a builtin arithmetic join. Clauses are
-checked for range restriction: every variable in a head or builtin must
-be bound by an earlier call, or by an earlier `is` output. No term may
+take part in evaluation) or name a builtin arithmetic join. In a clause,
+each `_` is a variable of its own, as in Prolog. Clauses are checked
+for range restriction: every variable in a head or builtin must be
+bound by an earlier call, or by an earlier `is` output. No term may
 nest more than MAX_TERM_DEPTH lists, compounds or operators deep, and
 no integer may have more than MAX_INT_DIGITS digits.
 """
@@ -36,6 +37,7 @@ from .program import (
     is_ground,
     pattern_to_str,
     pattern_vars,
+    var_to_str,
 )
 from .terms import MAX_INT_DIGITS, Compound, Int, ListTerm, Symbol, term_key
 
@@ -118,6 +120,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.open = 0  # expressions and prefix minuses the parser is inside
+        self.anonymous = 0  # the `_`s met so far in the current clause
 
     def peek(self):
         return self.toks[self.pos]
@@ -192,6 +195,9 @@ class _Parser:
             return Compound("-", (self.deeper(self.primary),))
         if tok.kind == "var":
             self.next()
+            if tok.value == "_":
+                self.anonymous += 1
+                return Var(f"_#{self.anonymous}")
             return Var(tok.value)
         if tok.kind == "punct" and tok.value == "(":
             self.next()
@@ -248,6 +254,7 @@ class _Parser:
 
     def clause(self):
         tok = self.peek()
+        self.anonymous = 0
         head = self.literal()
         if not isinstance(head, Call):
             raise ParseError("clause head must be a predicate call", tok.line, tok.col)
@@ -446,6 +453,12 @@ def _extract_relations(clauses, directives):
 
 
 def _check_range_restriction(clause):
+    def check(names, message):
+        free = names - bound
+        if free:
+            raise RangeRestrictionError(
+                f"{message.format(var_to_str(min(free)))} in: {clause_to_str(clause)}")
+
     bound = set()
     for lit in clause.body:
         if isinstance(lit, Call):
@@ -454,29 +467,15 @@ def _check_range_restriction(clause):
             continue
         lhs, rhs = lit.args
         if lit.op == "is":
-            free = pattern_vars(rhs) - bound
-            if free:
-                raise RangeRestrictionError(
-                    f"variable {sorted(free)[0]} unbound in arithmetic in: {clause_to_str(clause)}")
+            check(pattern_vars(rhs), "variable {} unbound in arithmetic")
             if isinstance(lhs, Var):
                 bound.add(lhs.name)
-            else:
-                free = pattern_vars(lhs) - bound
-                if free:
-                    raise RangeRestrictionError(
-                        f"variable {sorted(free)[0]} unbound in: {clause_to_str(clause)}")
-        else:
-            free = (pattern_vars(lhs) | pattern_vars(rhs)) - bound
-            if free:
-                raise RangeRestrictionError(
-                    f"variable {sorted(free)[0]} unbound in: {clause_to_str(clause)}")
-    free = set()
+                continue
+        check(pattern_vars(lhs) | pattern_vars(rhs), "variable {} unbound")
+    head = set()
     for a in clause.head.args:
-        free |= pattern_vars(a)
-    free -= bound
-    if free:
-        what = "non-ground fact" if not clause.body else "unbound head variable"
-        raise RangeRestrictionError(f"{what} {sorted(free)[0]} in: {clause_to_str(clause)}")
+        head |= pattern_vars(a)
+    check(head, "unbound head variable {}" if clause.body else "non-ground fact {}")
 
 
 def parse_program(text: str) -> Program:

@@ -19,6 +19,12 @@ class Var:
     name: str
 
 
+def var_to_str(name):
+    """A variable's name as written. The parser names the n-th `_` of a
+    clause `_#n`, which no program can spell, so each is a variable of its own."""
+    return "_" if name.startswith("_#") else name
+
+
 @dataclass(frozen=True)
 class Call:
     """A predicate call, in a head or a body."""
@@ -147,7 +153,7 @@ def fact_clause(atom: Atom) -> Clause:
 
 def pattern_to_str(p):
     if isinstance(p, Var):
-        return p.name
+        return var_to_str(p.name)
     if isinstance(p, Compound):
         if p.functor in ("+", "-", "*") and len(p.args) == 2:
             return f"({pattern_to_str(p.args[0])} {p.functor} {pattern_to_str(p.args[1])})"

@@ -29,14 +29,7 @@ from operator import itemgetter
 
 from .builtins import builtin_test
 from .errors import LatlogError
-from .lattice import (
-    AnswerTable,
-    aggregate_atoms,
-    build_specs,
-    empty_table,
-    join_values,
-    table_atoms,
-)
+from .lattice import aggregate_atoms, build_specs, join_values, table_atoms
 from .program import (
     Builtin,
     Call,
@@ -76,7 +69,7 @@ class StratumResult:
 class EvalOutcome:
     converged: bool
     answers: frozenset  # aggregated answer atoms; partial when diverged
-    table: AnswerTable
+    table: dict         # (pred, inputs) -> value; an absent key is bottom
     steps: int          # operator applications across all strata
     strata: tuple       # one StratumResult per stratum reached
     diverged_stratum: tuple = None  # sorted preds of the stratum that ran dry
@@ -448,7 +441,7 @@ def evaluate_strata(program: Program, fuel, fixpoint) -> EvalOutcome:
     """
     specs = build_specs(program)
     lower = frozenset()
-    table = empty_table()
+    table = {}
     results = []
     total = 0
     for preds in stratify(program).strata:

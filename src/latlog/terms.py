@@ -22,7 +22,6 @@ digits, so that every term can be printed.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Union
 
 # No integer may have more decimal digits than this. Printing one takes
 # time quadratic in its length, which is why Python refuses to convert
@@ -61,9 +60,6 @@ class ListTerm(tuple):
 
     def __new__(cls, elements):
         return tuple.__new__(cls, (3, elements))
-
-
-Term = Union[Int, Symbol, Compound, ListTerm]
 
 
 def term_key(t):

@@ -4,15 +4,8 @@ import random
 import pytest
 
 import latlog
-from latlog.errors import ArithmeticTypeError, DomainError, LatlogError
-from latlog.lattice import (
-    BOTTOM,
-    AnswerTable,
-    aggregate_atoms,
-    build_specs,
-    join_values,
-    table_atoms,
-)
+from latlog.errors import ArithmeticTypeError, LatlogError
+from latlog.lattice import aggregate_atoms, build_specs, join_values, table_atoms
 from latlog.program import Call, Var, fact_clause, pattern_to_str
 from latlog.reference import (
     EvalOutcome,
@@ -58,10 +51,11 @@ def programs():
 
 
 def leq_values(spec, x, y) -> bool:
-    """x below y in the lattice: their join is y."""
-    if x is BOTTOM:
+    """x below y in the lattice: their join is y. None is bottom, as
+    `table.get` gives for an absent key."""
+    if x is None:
         return True
-    if y is BOTTOM:
+    if y is None:
         return False
     return join_values(spec, x, y) == y
 
@@ -69,20 +63,13 @@ def leq_values(spec, x, y) -> bool:
 def table_leq(specs, f, g) -> bool:
     """Every value of table f lies below g's value at the same key."""
     return all(leq_values(specs[key[0]].lattice, value, g.get(key))
-               for key, value in f.entries.items())
+               for key, value in f.items())
 
 
-def singleton_table(specs, atom) -> AnswerTable:
+def singleton_table(specs, atom) -> dict:
     """The table holding just this atom's abstracted answer."""
     spec = specs[atom.pred]
-    return AnswerTable({spec.key_of(atom): spec.abstract_atom(atom)})
-
-
-def represent_output(spec, value):
-    """The term that represents a value; bottom has none."""
-    if value is BOTTOM:
-        raise DomainError("bottom has no representation")
-    return spec.represent(value)
+    return {spec.key_of(atom): spec.abstract_atom(atom)}
 
 
 def aggregate_model(specs, atoms) -> frozenset:

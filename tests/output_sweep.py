@@ -100,6 +100,21 @@ EDGE_PROGRAMS = {
         "kin(X,[N]) :- best(s(X),[N,_]).\n",
     "operator_join_row.pl":
         "j(1+2,a,a).\n:- table p(lattice(j/3)).\np(a). p(1+2).\n",
+    # each `_` a variable of its own: q(1) and q(2) both hold
+    "anonymous_variables.pl":
+        "p(1,a,b). p(2,c,c).\nq(X) :- p(X,_,_).\n",
+    # products whose parts sit between index positions: a list output
+    # under all, and parts under po, max_inf and a user join
+    "product_between_indexes.pl":
+        ":- table p(min,index,all,index,max).\n"
+        "e(k,j,3,[a,b],1). e(k,j,2,c,5). e(k,j,4,[],2). e(m,n,1,[x,[y]],0). e(m,n,1,z,0).\n"
+        "p(N,K,S,J,X) :- e(K,J,N,S,X).\n"
+        "p(N,J,S,K,X) :- p(N,K,S,J,X), N < 3.\n",
+    "product_of_po_max_inf_join.pl":
+        "o(lo,mid). o(mid,hi). o(lo,hi).\nj(a,b,c). j(a,c,c). j(b,c,c).\n"
+        ":- table p(po(o/2),index,lattice(max_inf/3),index,lattice(j/3)).\n"
+        "p(lo,k,1,x,a). p(mid,k,infty,x,b). p(hi,k,3,x,a). p([lo,alt],k2,2,y,c).\n"
+        "p(alt,K,N,y,V) :- p(hi,K,N,x,V).\n",
 }
 
 

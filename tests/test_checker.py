@@ -67,8 +67,8 @@ def test_exhaustive_violation_on_the_max_program(programs):
     report = check_greedy_soundness(programs["unsound_max.pl"], EXHAUSTIVE, fuel=100)
     assert report.verdict == VIOLATION
     assert report.witness == p_atoms(0, 1)
-    assert report.lhs.entries == {("p", ()): Int(3)}
-    assert report.rhs.entries == {("p", ()): Int(2)}
+    assert report.lhs == {("p", ()): Int(3)}
+    assert report.rhs == {("p", ()): Int(2)}
     # deterministic enumeration: empty, {p(0)}, {p(1)}, then the witness
     assert report.tested == 4
     assert report.universe.complete
@@ -115,8 +115,8 @@ def test_sampled_violation_on_even_odd(programs):
     report = check_greedy_soundness(programs["even_odd.pl"], SAMPLED, fuel=300)
     assert report.verdict == VIOLATION
     lhs, rhs = recompute_sides(programs["even_odd.pl"], report.witness, 300)
-    assert (lhs.entries, rhs.entries) == (report.lhs.entries, report.rhs.entries)
-    assert lhs.entries != rhs.entries
+    assert (lhs, rhs) == (report.lhs, report.rhs)
+    assert lhs != rhs
 
 
 def test_sampled_reports_are_deterministic(programs):
@@ -135,7 +135,7 @@ def test_trace_catches_the_max_program(programs):
     report = check_greedy_soundness(programs["unsound_max.pl"], TRACE, fuel=100)
     assert report.verdict == VIOLATION
     lhs, rhs = recompute_sides(programs["unsound_max.pl"], report.witness, 100)
-    assert lhs.entries != rhs.entries
+    assert lhs != rhs
 
 
 def test_trace_catches_even_odd(programs):
@@ -159,8 +159,8 @@ def test_fusion_violation_on_the_join_created_atom(programs):
     report = check_greedy_soundness(programs["lub_lattice.pl"], EXHAUSTIVE, fuel=100)
     assert report.verdict == VIOLATION
     assert report.witness == p_atoms("a", "b")
-    assert report.lhs.entries == {("p", ()): Symbol("c")}
-    assert report.rhs.entries == {("p", ()): Symbol("d")}
+    assert report.lhs == {("p", ()): Symbol("c")}
+    assert report.rhs == {("p", ()): Symbol("d")}
     assert diff_semantics(programs["lub_lattice.pl"], fuel=100).equal
 
 
@@ -315,5 +315,5 @@ def test_every_violation_witness_reverifies(programs):
             if report.verdict != VIOLATION:
                 continue
             lhs, rhs = recompute_sides(programs[name], report.witness, 60)
-            assert lhs.entries == report.lhs.entries, name
-            assert rhs.entries == report.rhs.entries, name
+            assert lhs == report.lhs, name
+            assert rhs == report.rhs, name

@@ -8,7 +8,6 @@ from latlog.lattice import (
     DUMMY,
     aggregate_atoms,
     build_specs,
-    empty_table,
     table_atoms,
     table_join,
 )
@@ -27,10 +26,10 @@ from latlog.terms import Atom, Int, Symbol, atom_sorted
 def test_step_of_the_empty_table_aggregates_the_facts(programs):
     prog = programs["unsound_max.pl"]
     specs = build_specs(prog)
-    got = greedy_step(prog.clauses, specs, empty_table())
-    assert got.entries == {("p", ()): Int(1)}
+    got = greedy_step(prog.clauses, specs, {})
+    assert got == {("p", ()): Int(1)}
     facts = immediate_step(prog.clauses, frozenset())
-    assert got.entries == aggregate_atoms(specs, facts).entries
+    assert got == aggregate_atoms(specs, facts)
 
 
 def test_raw_step_oscillates_on_the_max_program(programs):
@@ -38,10 +37,10 @@ def test_raw_step_oscillates_on_the_max_program(programs):
     # un-joined step therefore flips between the two tables
     prog = programs["unsound_max.pl"]
     specs = build_specs(prog)
-    one = greedy_step(prog.clauses, specs, empty_table())
+    one = greedy_step(prog.clauses, specs, {})
     two = greedy_step(prog.clauses, specs, one)
-    assert two.entries == {("p", ()): Int(2)}
-    assert greedy_step(prog.clauses, specs, two).entries == one.entries
+    assert two == {("p", ()): Int(2)}
+    assert greedy_step(prog.clauses, specs, two) == one
 
 
 def test_fixpoint_joins_the_oscillation_shut(programs):
@@ -51,9 +50,9 @@ def test_fixpoint_joins_the_oscillation_shut(programs):
     fp = greedy_fixpoint(prog.clauses, specs, 100, trace)
     assert fp.converged
     assert fp.steps == 3
-    assert fp.value.entries == {("p", ()): Int(2)}
+    assert fp.value == {("p", ()): Int(2)}
     # the trace is the ascending chain of tables the run visited
-    assert [t.entries for t in trace] == [
+    assert trace == [
         {}, {("p", ()): Int(1)}, {("p", ()): Int(2)}]
     for earlier, later in zip(trace, trace[1:]):
         assert table_leq(specs, earlier, later)
@@ -109,7 +108,7 @@ def test_cyclic_distances_match_a_floyd_warshall_oracle(programs):
                 for (x, y), d in dist.items()}
     for (x, y) in edges:
         expected[("e", (Symbol(x), Symbol(y), Symbol("nt")))] = frozenset({DUMMY})
-    assert out.table.entries == expected
+    assert out.table == expected
 
 
 def test_unbounded_values_diverge(programs):
@@ -123,7 +122,7 @@ def test_trace_sink_collects_one_chain_per_stratum(programs):
     stratified_greedy_semantics(programs["stratified_path.pl"], 100, trace_sink=sink)
     assert len(sink) == 3
     for clauses, tables in sink:
-        assert tables[0] == empty_table()
+        assert tables[0] == {}
         assert len(tables) >= 1
         assert clauses
 
@@ -133,7 +132,7 @@ def test_trace_sink_collects_one_chain_per_stratum(programs):
 
 def naive_greedy_fixpoint(clauses, specs, fuel, trace):
     """The definition: join a whole greedy step onto the table until stable."""
-    table = empty_table()
+    table = {}
     trace.append(table)
     steps = 0
     while steps < fuel:
@@ -143,7 +142,7 @@ def naive_greedy_fixpoint(clauses, specs, fuel, trace):
             return FixpointResult(True, table, steps)
         table = nxt
         trace.append(table)
-        if len(table.entries) > fuel:
+        if len(table) > fuel:
             return FixpointResult(False, table, steps)
     return FixpointResult(False, table, steps)
 
@@ -181,7 +180,7 @@ def assert_same_run(program, fuel):
     assert (fast.converged, fast.steps, fast.diverged_stratum) == (
         slow.converged, slow.steps, slow.diverged_stratum)
     assert fast.answers == slow.answers
-    assert fast.table.entries == slow.table.entries
+    assert fast.table == slow.table
     return fast
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import leq_values, load, represent_output, singleton_table, table_leq
+from conftest import leq_values, load, singleton_table, table_leq
 from latlog.errors import (
     DomainError,
     JoinUndefinedError,
@@ -14,11 +14,9 @@ from latlog.errors import (
     LatticeLawViolationError,
 )
 from latlog.lattice import (
-    BOTTOM,
     DUMMY,
     INFTY,
     AllLattice,
-    AnswerTable,
     DiscreteLattice,
     ExtendedNatLattice,
     IntMaxLattice,
@@ -30,8 +28,8 @@ from latlog.lattice import (
     UserJoinLattice,
     aggregate_atoms,
     build_specs,
-    empty_table,
     join_values,
+    sorted_items,
     table_atoms,
     table_join,
     value_to_str,
@@ -89,11 +87,17 @@ def test_user_join_lookup(lub):
 
 
 def test_bottom_identity_and_idempotence(lub):
-    for spec, v in [(MinLattice(), Int(1)),
-                    (lub, a),
-                    (AllLattice(), frozenset({Int(1)}))]:
-        assert join_values(spec, v, BOTTOM) == v
-        assert join_values(spec, BOTTOM, v) == v
+    # bottom is an absent key, so joining a table with one that lacks
+    # the key leaves the value as it is
+    specs = build_specs(parse_program(
+        "lub(a,b,c). lub(a,c,c). lub(a,d,d). lub(b,c,c). lub(b,d,d). lub(c,d,d).\n"
+        ":- table m(min). :- table j(lattice(lub/3)). :- table s(all).\n"))
+    for pred, spec, v in [("m", MinLattice(), Int(1)),
+                          ("j", lub, a),
+                          ("s", AllLattice(), frozenset({Int(1)}))]:
+        t = {(pred, ()): v}
+        assert table_join(specs, [t, {}]) == t
+        assert table_join(specs, [{}, t]) == t
         assert join_values(spec, v, v) == v
 
 
@@ -194,9 +198,9 @@ def test_min_order_is_reversed():
 
 def test_bottom_below_everything(lub):
     for spec, v in [(MinLattice(), Int(0)), (lub, d)]:
-        assert leq_values(spec, BOTTOM, v)
-        assert not leq_values(spec, v, BOTTOM)
-    assert leq_values(MinLattice(), BOTTOM, BOTTOM)
+        assert leq_values(spec, None, v)
+        assert not leq_values(spec, v, None)
+    assert leq_values(MinLattice(), None, None)
 
 
 def test_po_set_order():
@@ -242,15 +246,10 @@ def test_abstract_examples():
 
 
 def test_represent_examples():
-    got = represent_output(AllLattice(), frozenset({Int(2), Int(1)}))
+    got = AllLattice().represent(frozenset({Int(2), Int(1)}))
     assert got == ListTerm((Int(1), Int(2)))
-    assert represent_output(ExtendedNatLattice(), INFTY) == INFTY
-    assert represent_output(ExtendedNatLattice(), Int(7)) == Int(7)
-
-
-def test_represent_rejects_bottom():
-    with pytest.raises(DomainError):
-        represent_output(MinLattice(), BOTTOM)
+    assert ExtendedNatLattice().represent(INFTY) == INFTY
+    assert ExtendedNatLattice().represent(Int(7)) == Int(7)
 
 
 def test_extnat_domain_is_checked():
@@ -258,15 +257,13 @@ def test_extnat_domain_is_checked():
         ExtendedNatLattice().abstract(a)
 
 
-def test_product_abstract_needs_matching_tuple():
-    spec = ProductLattice((MinLattice(), MaxLattice()))
-    v = spec.abstract(ListTerm((Int(1), Int(2))))
-    assert v == (Int(1), Int(2))
-    assert spec.represent(v) == ListTerm((Int(1), Int(2)))
+def test_product_abstracts_a_tuple_of_output_terms():
+    spec = ProductLattice((MinLattice(), AllLattice()))
+    v = spec.abstract((Int(1), ListTerm((Int(2), Int(1)))))
+    assert v == (Int(1), frozenset({Int(1), Int(2)}))
+    assert spec.represent(v) == (Int(1), ListTerm((Int(1), Int(2))))
     with pytest.raises(DomainError):
-        spec.abstract(Int(1))
-    with pytest.raises(DomainError):
-        spec.abstract(ListTerm((Int(1),)))
+        ProductLattice((MinLattice(), IntMinLattice())).abstract((Int(1), a))
 
 
 def test_abstract_represent_retraction():
@@ -321,46 +318,46 @@ def test_max_inf_names_the_builtin_completion(programs):
 def test_eta_on_a_min_atom(programs):
     specs = build_specs(programs["shortest_path.pl"])
     t = singleton_table(specs, Atom("p", (a, b, Int(1))))
-    assert t.entries == {("p", (a, b)): Int(1)}
+    assert t == {("p", (a, b)): Int(1)}
 
 
 def test_eta_on_an_index_only_atom_uses_the_unit_output(programs):
     specs = build_specs(programs["shortest_path.pl"])
     t = singleton_table(specs, Atom("e", (a, b, Symbol("nt"))))
-    assert t.entries == {("e", (a, b, Symbol("nt"))): frozenset({DUMMY})}
+    assert t == {("e", (a, b, Symbol("nt"))): frozenset({DUMMY})}
 
 
 def test_eta_on_an_all_mode_atom():
     specs = build_specs(parse_program(":- table p(all).\np(1).\n"))
     t = singleton_table(specs, Atom("p", (Int(1),)))
-    assert t.entries == {("p", ()): frozenset({Int(1)})}
+    assert t == {("p", ()): frozenset({Int(1)})}
 
 
 def test_rho_inverts_eta_on_atoms(programs):
     specs = build_specs(programs["shortest_path.pl"])
     atom = Atom("p", (a, b, Int(1)))
     assert table_atoms(specs, singleton_table(specs, atom)) == frozenset({atom})
-    assert table_atoms(specs, empty_table()) == frozenset()
+    assert table_atoms(specs, {}) == frozenset()
 
 
 def test_rho_represents_the_stored_value(programs):
     specs = build_specs(programs["shortest_path.pl"])
-    t = AnswerTable({("p", (a, c)): Int(1)})
+    t = {("p", (a, c)): Int(1)}
     assert table_atoms(specs, t) == frozenset({Atom("p", (a, c, Int(1)))})
 
 
 def test_rho_drops_the_unit_output_of_discrete_entries(programs):
     specs = build_specs(programs["simple.pl"])
-    t = AnswerTable({("p", (a,)): frozenset({DUMMY})})
+    t = {("p", (a,)): frozenset({DUMMY})}
     assert table_atoms(specs, t) == frozenset({Atom("p", (a,))})
 
 
 def test_table_join_examples(programs):
     specs = build_specs(parse_program(":- table p(max).\np(1).\n"))
-    one = AnswerTable({("p", ()): Int(1)})
-    two = AnswerTable({("p", ()): Int(2)})
-    assert table_join(specs, [one, two]).entries == two.entries
-    assert table_join(specs, []).entries == {}
+    one = {("p", ()): Int(1)}
+    two = {("p", ()): Int(2)}
+    assert table_join(specs, [one, two]) == two
+    assert table_join(specs, []) == {}
 
 
 def test_aggregating_the_path_model_collapses_the_longer_distance(programs):
@@ -374,7 +371,7 @@ def test_aggregating_the_path_model_collapses_the_longer_distance(programs):
         Atom("p", (a, c, Int(1))), Atom("p", (a, c, Int(2))),
     ]
     t = aggregate_atoms(specs, model)
-    assert t.entries == {
+    assert t == {
         ("e", (a, b, nt)): frozenset({DUMMY}),
         ("e", (b, c, nt)): frozenset({DUMMY}),
         ("e", (a, c, nt)): frozenset({DUMMY}),
@@ -383,28 +380,28 @@ def test_aggregating_the_path_model_collapses_the_longer_distance(programs):
         ("p", (a, c)): Int(1),
     }
     joined = table_join(specs, [singleton_table(specs, x) for x in model])
-    assert joined.entries == t.entries
+    assert joined == t
 
 
 def test_table_pointwise_order(programs):
     specs = build_specs(parse_program(":- table p(min).\np(1).\n"))
-    f = AnswerTable({("p", ()): Int(2)})
-    g = AnswerTable({("p", ()): Int(1)})
+    f = {("p", ()): Int(2)}
+    g = {("p", ()): Int(1)}
     assert table_leq(specs, f, g)
     assert not table_leq(specs, g, f)
-    assert table_join(specs, [f, g]).entries == g.entries
+    assert table_join(specs, [f, g]) == g
     # absent key means bottom, so the empty table is below everything
-    assert table_leq(specs, empty_table(), f)
-    assert not table_leq(specs, f, empty_table())
+    assert table_leq(specs, {}, f)
+    assert not table_leq(specs, f, {})
 
 
 def test_sorted_items_orders_by_pred_then_inputs():
-    t = AnswerTable({
+    t = {
         ("q", (Int(1),)): Int(0),
         ("p", (b,)): Int(0),
         ("p", (a,)): Int(0),
-    })
-    assert [k for k, _ in t.sorted_items()] == [
+    }
+    assert [k for k, _ in sorted_items(t)] == [
         ("p", (a,)), ("p", (b,)), ("q", (Int(1),))]
 
 
@@ -449,7 +446,7 @@ _fold_atoms = st.lists(st.sampled_from(sorted(_OUTPUTS)).flatmap(
 def fold_outcome(atoms):
     """The folded table, or the error the fold raised."""
     try:
-        return aggregate_atoms(FOLD_SPECS, atoms).entries
+        return aggregate_atoms(FOLD_SPECS, atoms)
     except LatlogError as exc:
         return type(exc), str(exc)
 
@@ -474,7 +471,7 @@ def test_a_fold_names_the_first_rejected_atom_in_atom_order():
 
 
 def test_value_to_str():
-    assert value_to_str(BOTTOM) == "bottom"
+    assert value_to_str(None) == "bottom"
     assert value_to_str(Int(3)) == "3"
     assert value_to_str(INFTY) == "infty"
     assert value_to_str(frozenset({DUMMY})) == "true"

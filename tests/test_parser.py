@@ -1,5 +1,6 @@
 import pytest
 
+import latlog
 from conftest import CORPUS_FILES, corpus_text, load
 from latlog.errors import (
     ArityError,
@@ -176,6 +177,40 @@ def test_unbound_arithmetic_rejected():
         parse_program("p(a) :- q(X), X < Y.\nq(1).\n")
 
 
+ANONYMOUS = "p(1,a,b). p(2,c,c).\nq(X) :- p(X,_,_).\n"
+
+
+def test_each_underscore_is_a_variable_of_its_own():
+    rule = parse_program(ANONYMOUS).clauses[2]
+    x, y = rule.body[0].args[1:]
+    assert isinstance(x, Var) and isinstance(y, Var) and x != y
+    assert program_to_text(parse_program(ANONYMOUS)).endswith("q(X) :- p(X,_,_).\n")
+    prog = parse_program(ANONYMOUS)
+    for run in (latlog.stratified_reference_semantics, latlog.stratified_greedy_semantics):
+        answers = {latlog.atom_to_str(a) for a in run(prog).answers}
+        assert {"q(1)", "q(2)"} <= answers, run.__name__
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p(1).\nq(_) :- p(X).\n", "unbound head variable _ in: q(_) :- p(X)."),
+    ("p(1).\nq(_).\n", "non-ground fact _ in: q(_)."),
+    ("p(1,2).\nq(X) :- p(X,_), _ > 1.\n", "variable _ unbound in: q(X) :- p(X,_), _ > 1."),
+    ("p(1,2).\nq(Y) :- p(X,_), Y is _ + X.\n",
+     "variable _ unbound in arithmetic in: q(Y) :- p(X,_), Y is (_ + X)."),
+])
+def test_an_underscore_in_a_head_or_builtin_is_unbound(text, message):
+    with pytest.raises(RangeRestrictionError) as exc:
+        parse_program(text)
+    assert str(exc.value) == message
+
+
+def test_underscores_in_modes_still_mark_index_positions():
+    prog = parse_program(":- table q(_, min). :- table r(lattice(_,_,min/3)).\n"
+                         "p(1,a,2). q(X,Y) :- p(Y,X,_). r(X,X,Y) :- p(Y,X,_).\n")
+    assert prog.directives["q"] == (INDEX, Mode("min"))
+    assert prog.directives["r"] == (INDEX, INDEX, Mode("lattice", "min"))
+
+
 def test_is_binds_its_left_side():
     prog = parse_program("p(Y) :- q(X), Y is X * 2 + 1.\nq(3).\n")
     rule = prog.clauses[0]
@@ -207,7 +242,8 @@ def test_integer_tokens_are_bounded():
 
 
 # inline programs, beside the corpus: a relation row holding an operator term
-ROUND_TRIP_TEXTS = ["j(1+2,a,a). :- table p(lattice(j/3)). p(a)."]
+ROUND_TRIP_TEXTS = ["j(1+2,a,a). :- table p(lattice(j/3)). p(a).",
+                    "p(1,a,[b]). q(X) :- p(X,_,[_]), p(_,_,_)."]
 
 
 @pytest.mark.parametrize("name", CORPUS_FILES + ROUND_TRIP_TEXTS)

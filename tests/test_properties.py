@@ -26,7 +26,7 @@ from conftest import (
 )
 from latlog.greedy import greedy_step
 from latlog.lattice import (
-    BOTTOM,
+    DUMMY,
     INFTY,
     AllLattice,
     DiscreteLattice,
@@ -49,7 +49,8 @@ from latlog.reference import (
     immediate_step,
     stratum_lfp,
 )
-from latlog.terms import Atom, Compound, Int, Symbol, atom_sorted
+from latlog.parser import parse_program
+from latlog.terms import Atom, Compound, Int, ListTerm, Symbol, atom_sorted, term_sorted
 
 CASES = 1000
 POOL_FUEL = 40
@@ -123,8 +124,6 @@ def test_join_laws_per_kind(programs):
             assert xy == join_values(spec, y, x)
             assert join_values(spec, xy, z) == join_values(spec, x, join_values(spec, y, z))
             assert join_values(spec, x, x) == x
-            assert join_values(spec, x, BOTTOM) == x
-            assert join_values(spec, BOTTOM, x) == x
             assert leq_values(spec, x, xy) and leq_values(spec, y, xy)
             # round trip through the term representation
             assert spec.abstract(spec.represent(x)) == x
@@ -180,7 +179,7 @@ def test_extraction_inverts_embedding(pools):
         # and at table level: re-aggregating the extracted atoms is free
         _, specs2, pool2 = pools[rng.choice(CORPUS_FILES)]
         t = aggregate_atoms(specs2, subset_of(rng, pool2))
-        assert aggregate_atoms(specs2, table_atoms(specs2, t)).entries == t.entries
+        assert aggregate_atoms(specs2, table_atoms(specs2, t)) == t
 
 
 # --- suite 5: aggregation is deflationary for linear modes --------------------
@@ -217,7 +216,7 @@ def test_plain_and_extended_steps_agree_under_aggregation(pools):
         stepped = immediate_step(prog.clauses, x)
         plain = aggregate_atoms(specs, stepped)
         extended = aggregate_atoms(specs, close_answer_groups(specs, stepped, 10**6))
-        assert plain.entries == extended.entries
+        assert plain == extended
 
 
 # --- greedy step monotonicity where the condition holds -----------------------
@@ -290,3 +289,38 @@ def test_one_round_closure_matches_the_frontier_loop(data, case):
     if isinstance(expected[0], frozenset):
         closure, created = expected
         assert created == closure - old - set(new_values)
+
+
+# --- per-predicate specs: keys and values placed at their positions -------------
+
+
+_spec_terms = st.one_of(_ints, _syms, st.lists(_ints, max_size=2).map(
+    lambda xs: ListTerm(tuple(xs))))
+
+# mode -> (strategy for the part value, the term that represents it)
+_SPEC_PARTS = {
+    "min": (_spec_terms, lambda v: v),
+    "max": (_spec_terms, lambda v: v),
+    "all": (st.frozensets(_spec_terms, max_size=3),
+            lambda v: ListTerm(tuple(term_sorted(v)))),
+    "lattice(max_inf/3)": (st.one_of(_ints, st.just(INFTY)), lambda v: v),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.lists(st.sampled_from(["index", *_SPEC_PARTS]), min_size=1, max_size=5))
+def test_a_spec_reads_back_the_key_and_value_it_placed(data, modes):
+    # discrete, single-output and product predicates, with the index
+    # positions anywhere among the output positions
+    spec = build_specs(parse_program(f":- table p({','.join(modes)}).\n"))["p"]
+    inputs = tuple(data.draw(_spec_terms) for m in modes if m == "index")
+    parts = [data.draw(_SPEC_PARTS[m][0]) for m in modes if m != "index"]
+    value = (frozenset({DUMMY}) if not parts
+             else parts[0] if len(parts) == 1 else tuple(parts))
+    key = ("p", inputs)
+    atom = spec.atom_of(key, value)
+    ins, outs = iter(inputs), iter(parts)
+    assert atom == Atom("p", tuple(
+        next(ins) if m == "index" else _SPEC_PARTS[m][1](next(outs)) for m in modes))
+    assert spec.key_of(atom) == key
+    assert spec.abstract_atom(atom) == value
