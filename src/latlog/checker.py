@@ -58,7 +58,7 @@ engines and compare answers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 from .errors import InternalInconsistencyError, LatlogError, LatticeError
@@ -67,7 +67,6 @@ from .lattice import aggregate_atoms, build_specs, join_values, table_atoms
 from .program import Call, Clause, Program
 from .reference import (
     DEFAULT_FUEL,
-    EvalOutcome,
     _AtomIndex,
     _BudgetExceeded,
     _fire_delta,
@@ -86,40 +85,22 @@ INCONCLUSIVE = "inconclusive"
 CONDITION = "step-commutation"
 
 
-@dataclass(frozen=True)
-class CheckStrategy:
-    kind: str  # "exhaustive" | "sampled" | "trace"
-    max_atoms: int = 16
-    samples: int = 1000
-    seed: int = 42
-    max_subset: int = 9
+# kind: "exhaustive" | "sampled" | "trace"
+CheckStrategy = namedtuple("CheckStrategy", "kind max_atoms samples seed max_subset",
+                           defaults=(16, 1000, 42, 9))
 
+# complete: converged within fuel and within the cap; atoms: the
+# universe, or the atoms seen before giving up
+UniverseResult = namedtuple("UniverseResult", "complete atoms")
 
-@dataclass(frozen=True)
-class UniverseResult:
-    complete: bool      # converged within fuel and within the cap
-    atoms: frozenset    # the universe, or the atoms seen before giving up
+# condition: always CONDITION; lhs and rhs: the two sides' tables, on a
+# violation; reason: set when inconclusive
+CheckReport = namedtuple(
+    "CheckReport", "verdict condition universe strategy tested witness lhs rhs reason",
+    defaults=(None, None, None, None))
 
-
-@dataclass(frozen=True)
-class CheckReport:
-    verdict: str
-    condition: str          # always CONDITION
-    universe: UniverseResult
-    strategy: CheckStrategy
-    tested: int
-    witness: frozenset = None
-    lhs: dict = None        # the two sides' tables, on a violation
-    rhs: dict = None
-    reason: str = None      # set when inconclusive
-
-
-@dataclass(frozen=True)
-class DiffReport:
-    reference: EvalOutcome
-    greedy: EvalOutcome
-    equal: bool
-    per_key_diffs: tuple    # (pred, inputs, reference value, greedy value)
+# per_key_diffs: (pred, inputs, reference value, greedy value) tuples
+DiffReport = namedtuple("DiffReport", "reference greedy equal per_key_diffs")
 
 
 def atom_universe(program: Program, fuel=DEFAULT_FUEL, cap=16) -> UniverseResult:

@@ -22,7 +22,7 @@ no integer may have more than MAX_INT_DIGITS digits.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import ArityError, ParseError, RangeRestrictionError, UnsupportedModeError
 from .program import (
@@ -35,11 +35,10 @@ from .program import (
     Var,
     clause_to_str,
     is_ground,
-    pattern_to_str,
     pattern_vars,
     var_to_str,
 )
-from .terms import MAX_INT_DIGITS, Compound, Int, ListTerm, Symbol, term_key
+from .terms import MAX_INT_DIGITS, Compound, Int, ListTerm, Symbol
 
 BUILTIN_JOIN_NAMES = frozenset({"min", "max", "max_inf"})
 # Deeper terms are refused: the engines compare and hash terms
@@ -63,11 +62,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Tok(NamedTuple):
-    kind: str
-    value: str
-    line: int
-    col: int
+_Tok = namedtuple("_Tok", "kind value line col")
 
 
 def _tokenize(text):
@@ -481,25 +476,3 @@ def _check_range_restriction(clause):
 def parse_program(text: str) -> Program:
     return _Parser(text).program()
 
-
-def _mode_to_str(m: Mode) -> str:
-    if m.kind == "lattice":
-        return f"lattice({m.relation}/3)"
-    if m.kind == "po":
-        return f"po({m.relation}/2)"
-    return m.kind
-
-
-def program_to_text(program: Program) -> str:
-    """Canonical text whose reparse is structurally identical."""
-    lines = []
-    for pred in sorted(program.directives):
-        modes = ",".join(_mode_to_str(m) for m in program.directives[pred])
-        lines.append(f":- table {pred}({modes}).")
-    for relations in (program.join_relations, program.order_relations):
-        for name in sorted(relations):
-            for row in sorted(relations[name], key=lambda r: tuple(map(term_key, r))):
-                lines.append(f"{name}({','.join(map(pattern_to_str, row))}).")
-    for c in program.clauses:
-        lines.append(clause_to_str(c))
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -2,11 +2,16 @@
 
 Patterns are ground terms possibly containing variables. Atoms in an
 interpretation are always ground; variables only live in clauses.
+
+Every record here is a namedtuple: immutable, and compared field by
+field. A `Call` and a `Builtin` meet in a clause body, and the call
+`is(X,1)` has the fields of the builtin `X is 1`, so those two compare
+their class as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import partial
 from operator import itemgetter
 
@@ -14,9 +19,9 @@ from .errors import LatlogError
 from .terms import Atom, Compound, ListTerm, term_to_str
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+# A variable in a pattern: a 1-tuple, where every term is a tagged tuple
+# of two or more items (see `terms`), so it never equals a term.
+Var = namedtuple("Var", "name")
 
 
 def var_to_str(name):
@@ -25,49 +30,49 @@ def var_to_str(name):
     return "_" if name.startswith("_#") else name
 
 
-@dataclass(frozen=True)
-class Call:
+class _OwnKind:
+    """Equality of the class and the fields, for a namedtuple subclass."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+
+class Call(_OwnKind, namedtuple("Call", "pred args")):
     """A predicate call, in a head or a body."""
 
-    pred: str
-    args: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Builtin:
+class Builtin(_OwnKind, namedtuple("Builtin", "op args")):
     """One of: is, =, <, =<, >, >= with exactly two argument patterns."""
 
-    op: str
-    args: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Clause:
-    head: Call
-    body: tuple  # of Call | Builtin; empty for facts
+# head: a Call; body: a tuple of Call | Builtin, empty for facts
+Clause = namedtuple("Clause", "head body")
 
-
-@dataclass(frozen=True)
-class Mode:
-    """One argument's tabling mode.
-
-    kind is one of index, min, max, all, lattice, po; the last two
-    carry the name of the relation (or builtin join) used.
-    """
-
-    kind: str
-    relation: str | None = None
-
+# One argument's tabling mode. kind is one of index, min, max, all,
+# lattice, po; the last two carry the name of the relation (or builtin
+# join) used.
+Mode = namedtuple("Mode", "kind relation", defaults=(None,))
 
 INDEX = Mode("index")
 
 
-@dataclass(frozen=True)
-class Program:
-    clauses: tuple
-    directives: dict = field(default_factory=dict)       # pred -> tuple[Mode, ...]
-    join_relations: dict = field(default_factory=dict)   # name -> frozenset[(t, t, t)]
-    order_relations: dict = field(default_factory=dict)  # name -> frozenset[(t, t)]
+class Program(namedtuple("Program", "clauses directives join_relations order_relations")):
+    """A parsed program. `directives` maps a predicate to its tuple of
+    Modes, `join_relations` a name to its frozenset of (t, t, t) rows,
+    and `order_relations` a name to its frozenset of (t, t) rows."""
+
+    __slots__ = ()
 
     def arities(self):
         """Predicate name -> arity over heads, body calls, and directives."""

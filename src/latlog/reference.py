@@ -24,7 +24,7 @@ step budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
 
 from .builtins import builtin_test
@@ -33,6 +33,7 @@ from .lattice import aggregate_atoms, build_specs, join_values, table_atoms
 from .program import (
     Builtin,
     Call,
+    Clause,
     Program,
     Var,
     fact_clause,
@@ -50,29 +51,18 @@ class _BudgetExceeded(Exception):
     """Internal: a join closure outgrew the fuel budget mid-step."""
 
 
-@dataclass(frozen=True)
-class FixpointResult:
-    converged: bool
-    value: object
-    steps: int
+FixpointResult = namedtuple("FixpointResult", "converged value steps")
 
+# preds: sorted predicate names; atoms: the aggregated atoms once the
+# stratum settled (partial if it did not)
+StratumResult = namedtuple("StratumResult", "preds atoms steps converged")
 
-@dataclass(frozen=True)
-class StratumResult:
-    preds: tuple        # sorted predicate names
-    atoms: frozenset    # aggregated atoms once this stratum settled (partial if not)
-    steps: int
-    converged: bool
-
-
-@dataclass(frozen=True)
-class EvalOutcome:
-    converged: bool
-    answers: frozenset  # aggregated answer atoms; partial when diverged
-    table: dict         # (pred, inputs) -> value; an absent key is bottom
-    steps: int          # operator applications across all strata
-    strata: tuple       # one StratumResult per stratum reached
-    diverged_stratum: tuple = None  # sorted preds of the stratum that ran dry
+# answers: the aggregated answer atoms, partial when diverged; table:
+# (pred, inputs) -> value, where an absent key is bottom; steps: operator
+# applications across all strata; strata: one StratumResult per stratum
+# reached; diverged_stratum: the sorted preds of the stratum that ran dry
+EvalOutcome = namedtuple("EvalOutcome", "converged answers table steps strata diverged_stratum",
+                         defaults=(None,))
 
 
 # --- the immediate-consequence step -------------------------------------
@@ -275,8 +265,9 @@ def _fire_pivots(plans, idx, derived, delta):
 
 def immediate_step(clauses, atoms) -> frozenset:
     """One application of the immediate-consequence step. `clauses` may
-    be `clause_plans`, so that repeated steps compile each clause once."""
-    if clauses and not isinstance(clauses[0], tuple):
+    be `clause_plans`, so that repeated steps compile each clause once;
+    a plan is a tuple as a clause is, so only a `Clause` is compiled."""
+    if clauses and isinstance(clauses[0], Clause):
         clauses = clause_plans(clauses)
     derived = set()
     _fire_delta(clauses, _AtomIndex(atoms), derived)

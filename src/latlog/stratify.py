@@ -10,15 +10,14 @@ the order is deterministic.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .program import Call, Program
 
 
-@dataclass(frozen=True)
-class Stratification:
-    strata: tuple   # tuple[frozenset[str], ...] in evaluation order
-    edges: frozenset  # (i, j): strata[i] is used by strata[j], i < j
+# strata: a tuple of frozensets of predicate names, in evaluation order;
+# edges: a frozenset of (i, j) where strata[i] is used by strata[j], i < j
+Stratification = namedtuple("Stratification", "strata edges")
 
 
 def dependency_graph(program: Program):

@@ -6,7 +6,7 @@ import pytest
 import latlog
 from latlog.errors import ArithmeticTypeError, LatlogError
 from latlog.lattice import aggregate_atoms, build_specs, join_values, table_atoms
-from latlog.program import Call, Var, fact_clause, pattern_to_str
+from latlog.program import Call, Var, clause_to_str, fact_clause, pattern_to_str
 from latlog.reference import (
     EvalOutcome,
     FixpointResult,
@@ -24,6 +24,7 @@ from latlog.terms import (
     ListTerm,
     Symbol,
     atom_sorted,
+    term_key,
     term_to_str,
 )
 
@@ -351,6 +352,32 @@ def naive_reference_semantics(program, fuel) -> EvalOutcome:
         results.append(StratumResult(names, lower, fp.steps, True))
     return EvalOutcome(True, lower, aggregate_atoms(specs, lower),
                        total, tuple(results), None)
+
+
+# --- canonical program text: the printer for the parser's round trip -------
+
+
+def _mode_to_str(m) -> str:
+    if m.kind == "lattice":
+        return f"lattice({m.relation}/3)"
+    if m.kind == "po":
+        return f"po({m.relation}/2)"
+    return m.kind
+
+
+def program_to_text(program) -> str:
+    """Canonical text whose reparse is structurally identical."""
+    lines = []
+    for pred in sorted(program.directives):
+        modes = ",".join(_mode_to_str(m) for m in program.directives[pred])
+        lines.append(f":- table {pred}({modes}).")
+    for relations in (program.join_relations, program.order_relations):
+        for name in sorted(relations):
+            for row in sorted(relations[name], key=lambda r: tuple(map(term_key, r))):
+                lines.append(f"{name}({','.join(map(pattern_to_str, row))}).")
+    for c in program.clauses:
+        lines.append(clause_to_str(c))
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # --- seeded DAG programs ------------------------------------------------------

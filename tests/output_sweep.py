@@ -121,8 +121,7 @@ EDGE_PROGRAMS = {
 def programs():
     """{file name: (program text, fuel)}, in a fixed order."""
     import workloads
-    from conftest import CORPUS, CORPUS_FILES, DAG_PROGRAMS, random_dag_program
-    from latlog.parser import program_to_text
+    from conftest import CORPUS, CORPUS_FILES, DAG_PROGRAMS, program_to_text, random_dag_program
 
     out = {name: ((CORPUS / name).read_text(encoding="utf-8"), FUEL) for name in CORPUS_FILES}
     for workload in workloads.WORKLOADS:

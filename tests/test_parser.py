@@ -1,14 +1,14 @@
 import pytest
 
 import latlog
-from conftest import CORPUS_FILES, corpus_text, load
+from conftest import CORPUS_FILES, corpus_text, load, program_to_text
 from latlog.errors import (
     ArityError,
     ParseError,
     RangeRestrictionError,
     UnsupportedModeError,
 )
-from latlog.parser import parse_program, program_to_text
+from latlog.parser import parse_program
 from latlog.program import INDEX, Builtin, Call, Mode, Var
 from latlog.terms import MAX_INT_DIGITS, Int, Symbol
 
@@ -216,6 +216,16 @@ def test_is_binds_its_left_side():
     rule = prog.clauses[0]
     assert isinstance(rule.body[1], Builtin)
     assert rule.body[1].args[0] == Var("Y")
+
+
+def test_a_call_named_is_never_equals_the_builtin():
+    # `is(X,1)` calls a predicate named `is`; `X is 1` is the builtin
+    _, call, builtin = parse_program("q(X) :- r(X), is(X,1), X is 1.\n").clauses[0].body
+    assert isinstance(call, Call) and isinstance(builtin, Builtin)
+    assert tuple(call) == tuple(builtin)
+    assert call != builtin and builtin != call and not call == builtin
+    assert len({call, builtin}) == 2
+    assert Call("p", ()) == Call("p", ()) and not Call("p", ()) != Call("p", ())
 
 
 def test_parse_error_carries_position():

@@ -161,3 +161,14 @@ def test_each_clause_compiles_once_per_pivot_and_evaluation(programs, monkeypatc
         builds.append(len(compiled))
     # nothing outlives an evaluation: the second compiles as much again
     assert builds[0] == builds[1]
+
+
+def test_a_step_takes_clauses_or_their_plans_alike(programs):
+    # a clause and a plan are both tuples; a step that took one for the
+    # other would fail on every program with a clause
+    for name, prog in programs.items():
+        assert prog.clauses, name
+        plans = clause_plans(prog.clauses)
+        answers = stratified_reference_semantics(prog, 200).answers
+        for atoms in (frozenset(), answers):
+            assert immediate_step(prog.clauses, atoms) == immediate_step(plans, atoms), name

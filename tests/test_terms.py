@@ -6,6 +6,7 @@ from conftest import field_term_key
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latlog.program import Var
 from latlog.terms import (
     Atom,
     Compound,
@@ -108,9 +109,12 @@ def test_a_term_is_its_tagged_tuple(t):
 
 
 def test_terms_of_different_kinds_are_never_equal():
+    # a pattern's variable too: it is a 1-tuple, and every term has two or more items
     lookalikes = [Int(1), Symbol(1), Symbol("f"), Compound("f", ()), ListTerm(()),
-                  Compound("f", (Int(1),)), ListTerm((Int(1),))]
+                  Compound("f", (Int(1),)), ListTerm((Int(1),)), Var("f"), Var(1)]
     assert len(set(lookalikes)) == len(lookalikes)
+    for t in lookalikes[:-2]:
+        assert t != Var("f") and Var("f") != t
 
 
 @given(terms(), terms())
