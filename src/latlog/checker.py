@@ -17,10 +17,9 @@ run touches).
 
 The subsets of one check share almost all of their rule firings. So
 the exhaustive and trace strategies fire the program's rules once, over
-a pool holding every subset they test and each subset's collapse
-(extract . aggregate): the universe, whose answer groups are closed
-under the join, or the trace subsets together with their collapses.
-The resulting firing table keeps each firing with the body atoms it
+a pool holding every subset they test: the universe, whose answer
+groups are closed under the join, or the trace subsets alone. The
+resulting firing table keeps each firing with the body atoms it
 read, which is the why-provenance of the step (Green, Karvounarakis
 and Tannen, PODS 2007), and the step on any subset of the pool is a
 containment test over it. Aggregation over the table reuses each
@@ -29,12 +28,13 @@ order, since the join of two values that abstraction accepted is
 always defined. A set holding an atom that abstraction rejects is
 folded by `aggregate_atoms`, which names the error in atom order; a
 universe holds no such atom, since the reference fixpoint raises on
-the first one it derives. A set outside the pool is stepped directly;
-under `all` and `po` a collapse can be one, since a value read back is
-written as a list. A clause whose builtins
-raise while the table is built stays out of it and is fired directly
-on each subset, so an error surfaces only at a subset whose own step
-raises it, with the same message.
+the first one it derives. A set outside the pool is stepped directly.
+A subset's collapse (extract . aggregate) can be one: a trace pool
+need not hold it, and under `all` and `po` a value read back is
+written as a list. A clause whose builtins raise while the table is
+built stays out of it and is fired directly on each subset, so an
+error surfaces only at a subset whose own step raises it, with the
+same message.
 
 Where a trace table would record more firings than the trace subsets
 hold atoms, the trace check steps each subset directly instead. The
@@ -86,8 +86,11 @@ CONDITION = "step-commutation"
 
 
 # kind: "exhaustive" | "sampled" | "trace"
-CheckStrategy = namedtuple("CheckStrategy", "kind max_atoms samples seed max_subset",
-                           defaults=(16, 1000, 42, 9))
+CheckStrategy = namedtuple("CheckStrategy", "kind max_atoms samples seed",
+                           defaults=(16, 1000, 42))
+
+# the most atoms a sampled subset holds
+MAX_SUBSET = 9
 
 # complete: converged within fuel and within the cap; atoms: the
 # universe, or the atoms seen before giving up
@@ -291,16 +294,6 @@ def _trace_subsets(program, specs, fuel):
     return out
 
 
-def _trace_chunks(specs, subsets):
-    """Each trace subset, then its collapse."""
-    for x in subsets:
-        yield x
-        try:
-            yield table_atoms(specs, aggregate_atoms(specs, x))
-        except LatticeError:
-            pass  # raised again when the check reaches x
-
-
 def check_greedy_soundness(program: Program, strategy: CheckStrategy,
                            fuel=DEFAULT_FUEL) -> CheckReport:
     """Test the soundness condition on the subsets the strategy picks."""
@@ -326,7 +319,7 @@ def check_greedy_soundness(program: Program, strategy: CheckStrategy,
     elif strategy.kind == "sampled":
         pool = atom_sorted(universe.atoms)
         rng = random.Random(strategy.seed)
-        bound = min(strategy.max_subset, len(pool))
+        bound = min(MAX_SUBSET, len(pool))
         subsets = (
             frozenset(rng.sample(pool, rng.randint(0, bound)))
             for _ in range(strategy.samples))
@@ -338,8 +331,7 @@ def check_greedy_soundness(program: Program, strategy: CheckStrategy,
         # under rules that read several of them at once: the pool then
         # holds every value a key ever had, and the firings combine them.
         try:
-            table = _FiringTable(clauses, specs, _trace_chunks(specs, subsets),
-                                 max_firings=sum(map(len, subsets)))
+            table = _FiringTable(clauses, specs, subsets, max_firings=sum(map(len, subsets)))
             step, aggregate = table.step, table.aggregate
         except _TableTooLarge:
             pass  # step each subset directly

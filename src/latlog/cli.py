@@ -18,25 +18,14 @@ import json
 import sys
 
 from .checker import (
+    MAX_SUBSET,
     NO_VIOLATION,
     VIOLATION,
     CheckStrategy,
     check_greedy_soundness,
     diff_semantics,
 )
-from .errors import (
-    ArithmeticTypeError,
-    ArityError,
-    DomainError,
-    InternalInconsistencyError,
-    JoinUndefinedError,
-    LatlogError,
-    LatticeError,
-    LatticeLawViolationError,
-    ParseError,
-    RangeRestrictionError,
-    UnsupportedModeError,
-)
+from .errors import LatlogError, ParseError
 from .greedy import stratified_greedy_semantics
 from .lattice import sorted_items, value_to_str
 from .parser import parse_program
@@ -164,7 +153,7 @@ def _strategy_str(strategy):
         return f"exhaustive (max-atoms={strategy.max_atoms})"
     if strategy.kind == "sampled":
         return (f"sampled (samples={strategy.samples}, seed={strategy.seed}, "
-                f"max-subset={strategy.max_subset})")
+                f"max-subset={MAX_SUBSET})")
     return "trace"
 
 
@@ -179,7 +168,7 @@ def _cmd_check(args, program):
             "condition": report.condition,
             "strategy": {"kind": strategy.kind, "max_atoms": strategy.max_atoms,
                          "samples": strategy.samples, "seed": strategy.seed,
-                         "max_subset": strategy.max_subset},
+                         "max_subset": MAX_SUBSET},
             "universe": {"complete": report.universe.complete,
                          "atoms": _answer_strs(report.universe.atoms)},
             "verdict": report.verdict,
@@ -269,28 +258,6 @@ def _cmd_strata(args, program):
 # --- driver -----------------------------------------------------------------
 
 
-_ERROR_KINDS = (
-    (UnsupportedModeError, "unsupported-mode", 3),
-    (RangeRestrictionError, "range-restriction", 3),
-    (ArityError, "arity", 3),
-    (ParseError, "parse", 3),
-    (ArithmeticTypeError, "arithmetic-type", 3),
-    (JoinUndefinedError, "join-undefined", 4),
-    (LatticeLawViolationError, "lattice-law", 4),
-    (DomainError, "domain", 4),
-    (LatticeError, "lattice", 4),
-    (InternalInconsistencyError, "internal", 4),
-    (LatlogError, "internal", 4),
-)
-
-
-def _classify(exc):
-    for cls, kind, code in _ERROR_KINDS:
-        if isinstance(exc, cls):
-            return kind, code
-    raise exc
-
-
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
@@ -306,12 +273,11 @@ def main(argv=None) -> int:
                    "diff": _cmd_diff, "strata": _cmd_strata}[args.command]
         return handler(args, program)
     except LatlogError as exc:
-        kind, code = _classify(exc)
         if getattr(args, "json", False):
-            print(json.dumps({"status": "error", "kind": kind, "detail": str(exc)}))
+            print(json.dumps({"status": "error", "kind": exc.kind, "detail": str(exc)}))
         else:
             print(f"error: {exc}", file=sys.stderr)
-        return code
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -257,6 +257,10 @@ class ProductLattice(LatticeSpec):
         return tuple([p.represent(v) for p, v in zip(self.parts, value)])
 
 
+# the lattice(Name/3) joins that need no facts, by name
+BUILTIN_JOINS = {"min": IntMinLattice, "max": IntMaxLattice, "max_inf": ExtendedNatLattice}
+
+
 # --- value-level operations --------------------------------------------
 
 
@@ -336,8 +340,7 @@ def _mode_lattice(mode: Mode, program: Program) -> LatticeSpec:
         rows = program.join_relations.get(mode.relation)
         if rows is not None:
             return UserJoinLattice(mode.relation, rows)
-        return {"min": IntMinLattice, "max": IntMaxLattice,
-                "max_inf": ExtendedNatLattice}[mode.relation]()
+        return BUILTIN_JOINS[mode.relation]()
     raise DomainError(f"mode {mode.kind} has no lattice")
 
 

@@ -25,6 +25,7 @@ import re
 from collections import namedtuple
 
 from .errors import ArityError, ParseError, RangeRestrictionError, UnsupportedModeError
+from .lattice import BUILTIN_JOINS
 from .program import (
     INDEX,
     Builtin,
@@ -40,7 +41,6 @@ from .program import (
 )
 from .terms import MAX_INT_DIGITS, Compound, Int, ListTerm, Symbol
 
-BUILTIN_JOIN_NAMES = frozenset({"min", "max", "max_inf"})
 # Deeper terms are refused: the engines compare and hash terms
 # recursively, and Python's recursion limit gives out a few hundred
 # levels down.
@@ -428,7 +428,7 @@ def _extract_relations(clauses, directives):
             raise ParseError(f"relation {name} cannot itself be tabled")
         own = grouped[name]
         if not own:
-            if arity == 3 and name in BUILTIN_JOIN_NAMES:
+            if arity == 3 and name in BUILTIN_JOINS:
                 continue
             if arity == 3 and name == "plus":
                 raise UnsupportedModeError(

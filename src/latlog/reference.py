@@ -29,7 +29,7 @@ from operator import itemgetter
 
 from .builtins import builtin_test
 from .errors import LatlogError
-from .lattice import aggregate_atoms, build_specs, join_values, table_atoms
+from .lattice import _picker, aggregate_atoms, build_specs, join_values, table_atoms
 from .program import (
     Builtin,
     Call,
@@ -145,7 +145,7 @@ def _compile(clause, pivot):
         template.append(value)
         return len(template) - 1
     # `_call_step` arguments by call; a first one reads one empty atom, for leading builtins
-    calls = [[new_slot((Atom("", ()),)), None, itemgetter(slice(0)), 0, 0, None, False, []]]
+    calls = [[new_slot((Atom("", ()),)), None, _picker(()), 0, 0, None, False, []]]
     for i, lit in enumerate(clause.body):
         if isinstance(lit, Builtin):
             calls[-1][-1].append(builtin_test(lit, slots, new_slot))
@@ -164,13 +164,11 @@ def _compile(clause, pivot):
         lo = len(template)
         for pos in fresh:
             slots[lit.args[pos].name] = new_slot()
-        single = slice(fresh[0], fresh[0] + 1) if fresh else slice(0)
-        pick = itemgetter(*fresh) if len(fresh) > 1 else itemgetter(single)
         ms = [(pos, term_matcher(lit.args[pos], slots, new_slot)) for pos in rest]
         match = (lambda args, sl, ms=ms: all(m(args[pos], sl) for pos, m in ms)) if ms else None
         k = new_slot()
         lookups.append((k, i == pivot, lit.pred, tuple(pos for pos, _ in key)))
-        calls.append([k, itemgetter(*[s for _, s in key]) if key else None, pick, lo,
+        calls.append([k, itemgetter(*[s for _, s in key]) if key else None, _picker(fresh), lo,
                       lo + len(fresh), match, pivot is not None and i < pivot and lit.pred, []])
     args = clause.head.args
     if all(isinstance(a, Var) and a.name in slots or not pattern_vars(a) for a in args):
@@ -381,7 +379,6 @@ def stratum_lfp(clauses, specs, fuel) -> FixpointResult:
     plans = clause_plans(clauses)
     atoms = set()
     idx = _AtomIndex()  # everything derived so far, the newest delta too
-    tp = set()
     groups = {}
     steps = 0
     delta = None
@@ -389,19 +386,17 @@ def stratum_lfp(clauses, specs, fuel) -> FixpointResult:
     while steps < fuel:
         derived = set()
         _fire_delta(plans, idx, derived, delta)
-        tp_delta = derived - tp
-        tp |= tp_delta
-
-        new_atoms = set(tp_delta)
+        derived -= atoms  # an atom already held has its value in its group
+        new_atoms = set(derived)
         try:
-            for spec, key, batch in _group_values(specs, tp_delta):
+            for spec, key, batch in _group_values(specs, derived):
                 values = groups.setdefault(key, set())
                 for v in _close_group(spec, values, batch, fuel):
                     new_atoms.add(spec.atom_of(key, v))
         except _BudgetExceeded:
             return FixpointResult(False, frozenset(atoms), steps)
         except LatlogError:
-            for atom in atom_sorted(tp_delta):
+            for atom in atom_sorted(derived):
                 specs[atom.pred].abstract_atom(atom)
             raise
         steps += 1

@@ -154,7 +154,7 @@ def test_criterion_7_even_odd(programs):
         greedy = stratified_greedy_semantics(prog, FUEL)
         assert greedy.converged
         assert greedy.answers == atoms("even", (0,)) | atoms("odd", (1,))
-        strategy = CheckStrategy("sampled", samples=1000, seed=42, max_subset=9)
+        strategy = CheckStrategy("sampled", samples=1000, seed=42)
         report = check_greedy_soundness(prog, strategy, FUEL)
         assert report.verdict == VIOLATION
 

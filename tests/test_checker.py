@@ -24,7 +24,7 @@ from latlog.parser import parse_program
 from latlog.terms import Atom, Int, Symbol
 
 EXHAUSTIVE = CheckStrategy("exhaustive")
-SAMPLED = CheckStrategy("sampled", samples=1000, seed=42, max_subset=9)
+SAMPLED = CheckStrategy("sampled", samples=1000, seed=42)
 TRACE = CheckStrategy("trace")
 
 
@@ -190,11 +190,20 @@ LAZY_ERROR = ARITH_ERROR + """:- table a(max).
 a(0). a(1). a(2) :- a(X), X >= 1. a(3) :- a(X), X = 0.
 """
 
+# At fuel 5 the trace's fifth subset collapses to a set that is not
+# among the trace subsets, so the table steps it directly
+CYCLIC_MINMAX = """:- table p(index,index,min,max).
+e(a,b). e(b,a).
+p(X,Y,1,1) :- e(X,Y).
+p(X,Y,A,B) :- p(X,Z,A1,B1), e(Z,Y), A is A1+1, B is B1+1.
+"""
+
 
 def _oracle_programs():
     yield from ((name, lambda name=name: load(name)) for name in CORPUS_FILES)
     yield "arith-error", lambda: parse_program(ARITH_ERROR)
     yield "lazy-error", lambda: parse_program(LAZY_ERROR)
+    yield "cyclic-minmax", lambda: parse_program(CYCLIC_MINMAX)
     for lattice in sorted(DAG_PROGRAMS):
         yield f"tiny-{lattice}", lambda lattice=lattice: tiny_dag_program(lattice)
         for seed in range(3):
@@ -203,6 +212,7 @@ def _oracle_programs():
 
 
 ORACLE_PROGRAMS = dict(_oracle_programs())
+ORACLE_FUEL = {"cyclic-minmax": 5}  # 60 for the others
 ORACLE_STRATEGIES = {
     "exhaustive": EXHAUSTIVE,
     "trace": TRACE,
@@ -214,6 +224,7 @@ ORACLE_STRATEGIES = {
 @pytest.mark.parametrize("name", sorted(ORACLE_PROGRAMS))
 def test_every_tested_subset_matches_the_oracle(name, strategy, monkeypatch):
     program = ORACLE_PROGRAMS[name]()
+    fuel = ORACLE_FUEL.get(name, 60)
     seen = []  # (subset, its sides or the type of the error raised there)
     compare = checker._compare
 
@@ -228,15 +239,15 @@ def test_every_tested_subset_matches_the_oracle(name, strategy, monkeypatch):
 
     monkeypatch.setattr(checker, "_compare", spy)
     try:
-        report = check_greedy_soundness(program, ORACLE_STRATEGIES[strategy], 60)
+        report = check_greedy_soundness(program, ORACLE_STRATEGIES[strategy], fuel)
     except LatlogError:
         report = None
     for x, got in seen:
         if isinstance(got, type):
             with pytest.raises(got):
-                recompute_sides(program, x, 60)
+                recompute_sides(program, x, fuel)
         else:
-            assert recompute_sides(program, x, 60) == got, sorted(map(str, x))
+            assert recompute_sides(program, x, fuel) == got, sorted(map(str, x))
     if report is not None:
         assert report.tested == sum(not isinstance(got, type) for _, got in seen)
     if name.startswith("tiny-"):  # small enough that every strategy compares

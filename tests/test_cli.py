@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -10,9 +11,12 @@ import pytest
 
 from conftest import CORPUS, GOLDEN
 from golden_cases import CASES, resolved_argv
+from latlog import errors
 from latlog.cli import main
 from latlog.parser import MAX_TERM_DEPTH
 from latlog.terms import MAX_INT_DIGITS
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -138,6 +142,37 @@ def test_strata_json(capsys):
 
 
 # --- errors -----------------------------------------------------------------
+
+
+# every error class, with the kind a JSON report names, the exit code,
+# and the words for it in that code's row of README's exit-code table
+ERROR_CLASSES = [
+    (errors.LatlogError, "internal", 4, "internal error"),
+    (errors.ParseError, "parse", 3, "parse"),
+    (errors.UnsupportedModeError, "unsupported-mode", 3, "mode"),
+    (errors.RangeRestrictionError, "range-restriction", 3, "range-restriction"),
+    (errors.ArityError, "arity", 3, "arity"),
+    (errors.ArithmeticTypeError, "arithmetic-type", 3, "arithmetic type"),
+    (errors.LatticeError, "lattice", 4, "lattice trouble"),
+    (errors.JoinUndefinedError, "join-undefined", 4, "undefined join"),
+    (errors.LatticeLawViolationError, "lattice-law", 4, "law violation"),
+    (errors.DomainError, "domain", 4, "domain error"),
+    (errors.InternalInconsistencyError, "internal", 4, "internal error"),
+]
+
+
+@pytest.mark.parametrize("cls, kind, code, words", ERROR_CLASSES,
+                         ids=[c.__name__ for c, *_ in ERROR_CLASSES])
+def test_an_error_carries_its_kind_and_exit_code(cls, kind, code, words):
+    assert (cls.kind, cls.exit_code) == (kind, code)
+    rows = dict(re.findall(r"^\| (\d) +\| (.*) \|$", README.read_text(encoding="utf-8"), re.M))
+    assert words in rows[str(code)]
+
+
+def test_every_error_class_is_pinned():
+    classes = {c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.LatlogError)}
+    assert classes == {c for c, *_ in ERROR_CLASSES}
 
 
 def write(tmp_path, text):

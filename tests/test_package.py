@@ -56,7 +56,7 @@ RECORDS = [
     (reference.FixpointResult, "converged value steps"),
     (reference.StratumResult, "preds atoms steps converged"),
     (reference.EvalOutcome, "converged answers table steps strata diverged_stratum"),
-    (checker.CheckStrategy, "kind max_atoms samples seed max_subset"),
+    (checker.CheckStrategy, "kind max_atoms samples seed"),
     (checker.UniverseResult, "complete atoms"),
     (checker.CheckReport, "verdict condition universe strategy tested witness lhs rhs reason"),
     (checker.DiffReport, "reference greedy equal per_key_diffs"),
@@ -78,7 +78,7 @@ def test_a_record_keeps_its_fields_and_refuses_assignment(record, fields):
 
 
 def test_record_defaults():
-    assert latlog.CheckStrategy("trace") == latlog.CheckStrategy("trace", 16, 1000, 42, 9)
+    assert latlog.CheckStrategy("trace") == latlog.CheckStrategy("trace", 16, 1000, 42)
     assert program.Mode("min").relation is None
     assert reference.EvalOutcome(True, frozenset(), {}, 0, ()).diverged_stratum is None
     report = checker.CheckReport("violation", checker.CONDITION, None, None, 0)

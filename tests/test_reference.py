@@ -15,6 +15,7 @@ from conftest import (
     join_extended_step,
     kleene_fixpoint,
     naive_reference_semantics,
+    naive_stratum_lfp,
     random_dag_program,
 )
 import latlog.reference
@@ -295,6 +296,22 @@ def test_incremental_loop_matches_the_naive_one(name, fuel, programs):
     assert fast.steps == slow.steps
     assert fast.diverged_stratum == slow.diverged_stratum
     assert fast.table == slow.table
+
+
+# The join of p(2,2) and p(4,4) creates p(2,4) at the first step; the
+# rule derives it only at the second, once p(4,4) can fire it.
+JOINED_THEN_DERIVED = ":- table p(min,max).\np(2,2). p(4,4).\np(2,4) :- p(4,4).\n"
+
+
+def test_an_atom_the_join_created_may_be_derived_later():
+    program = parse_program(JOINED_THEN_DERIVED)
+    specs = build_specs(program)
+    p24 = Atom("p", (Int(2), Int(4)))
+    facts = immediate_step(program.clauses, frozenset())
+    assert p24 not in facts and p24 in immediate_step(program.clauses, facts)
+    fast = stratum_lfp(program.clauses, specs, 100)
+    assert fast == naive_stratum_lfp(program.clauses, specs, 100)
+    assert fast.converged and p24 in fast.value and fast.steps == 2
 
 
 # A 12-node DAG under (min, max): a chain, plus skip edges.
