@@ -16,38 +16,35 @@ sampled (seeded random subsets), and trace (the sets an actual greedy
 run touches).
 
 The subsets of one check share almost all of their rule firings. So
-the exhaustive and trace strategies fire the program's rules once, over
-a pool holding every subset they test: the universe, whose answer
-groups are closed under the join, or the trace subsets alone. The
-resulting firing table keeps each firing with the body atoms it
-read, which is the why-provenance of the step (Green, Karvounarakis
-and Tannen, PODS 2007), and the step on any subset of the pool is a
-containment test over it. Aggregation over the table reuses each
-atom's key and value, abstracted once per table, and folds them in any
-order, since the join of two values that abstraction accepted is
-always defined. A set holding an atom that abstraction rejects is
-folded by `aggregate_atoms`, which names the error in atom order; a
-universe holds no such atom, since the reference fixpoint raises on
-the first one it derives. A set outside the pool is stepped directly.
-A subset's collapse (extract . aggregate) can be one: a trace pool
-need not hold it, and under `all` and `po` a value read back is
-written as a list. A clause whose builtins raise while the table is
-built stays out of it and is fired directly on each subset, so an
-error surfaces only at a subset whose own step raises it, with the
-same message.
-
+each check fires the program's rules once, over a pool holding the
+subsets it tests: the universe, whose answer groups are closed under
+the join, or the trace subsets. The firing table keeps each firing
+with the body atoms it read, which is the why-provenance of the step
+(Green, Karvounarakis and Tannen, PODS 2007). Every atom set is an int
+bit mask over one numbering of the atoms the check meets: the pool
+first, sorted for `exhaustive`, whose subset m + 1 is mask m, then
+each other atom when first met. The step on a mask inside the pool
+ORs the heads of the firings whose body mask lies inside it; any other
+mask is stepped directly. A clause whose builtins raise while the
+table is built is fired directly on each subset, so an error surfaces
+only at a subset whose own step raises it, with the same message.
 Where a trace table would record more firings than the trace subsets
-hold atoms, the trace check steps each subset directly instead. The
-sampled strategy always does: its subsets are small and drawn from
-pools of up to `fuel` atoms, most of which no subset ever holds
-together.
+hold atoms, and always for `sampled`, whose few small subsets come
+from pools of up to `fuel` atoms, the pool is empty: every step is
+direct.
 
-Every strategy compares the two sides with the same function. A subset
-that its own collapse leaves unchanged has equal sides by definition,
-so its right side is not recomputed. The left side is cross-checked
-against the join-extended step, whose aggregate must be the same; a
-gap is a bug in this package, not a property of the program. Many
-subsets share one step, so each distinct step is cross-checked once.
+Each atom's key and value are abstracted once, when it is numbered,
+and folded in any order, since the join of two values that abstraction
+accepted is always defined. A set holding an atom that abstraction
+rejects is folded by `aggregate_atoms`, which names the error in atom
+order. A subset's collapse (extract . aggregate) builds each atom from
+its key and value, once per pair: under `all` and `po` a value read
+back is written as a list, so it need not be the pool atom it came
+from. A subset that its collapse leaves unchanged has equal sides by
+definition. The left side is memoized per distinct stepped set, and
+cross-checked then against the join-extended step, whose aggregate
+must be the same; a gap is a bug in this package, not a property of
+the program. The right side is memoized per distinct collapsed set.
 When the join closure of a step outgrows `fuel`, the check is
 inconclusive.
 
@@ -59,7 +56,6 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from functools import partial
 
 from .errors import InternalInconsistencyError, LatlogError, LatticeError
 from .greedy import stratified_greedy_semantics
@@ -129,29 +125,28 @@ class _TableTooLarge(Exception):
 
 
 class _FiringTable:
-    """Every firing of one immediate step over a pool of atoms.
-
-    Each firing is kept as (body atoms read, head) and filed under one
-    of its body atoms, the one whose bucket is smallest at that moment;
-    bodyless firings always fire. The step on a subset X of the pool
-    then collects the firings filed under X's atoms whose body lies
-    inside X.
+    """Every firing of one immediate step over a pool of atoms, on atom
+    sets written as bit masks (see the module docstring).
 
     The pool arrives in chunks, and each chunk fires only the rules
-    that read one of its new atoms. A clause whose builtins raise while
-    the table is built is fired directly on every subset instead, so it
-    raises where a direct step would. Building stops with
+    that read one of its new atoms. Building stops with
     `_TableTooLarge` once a chunk leaves more than `max_firings`
     firings recorded.
     """
 
     def __init__(self, clauses, specs, chunks, max_firings=None):
-        self.clauses = clauses
         self.specs = specs
-        self.filed = {}      # pool atom -> [(body, head)]
-        self.always = set()  # heads of bodyless firings
-        self._canon = {}     # one object per atom, heads too
-        self._seen = set()
+        self.atoms = {}       # single-atom mask -> atom
+        self._one = {}        # atom -> its mask
+        self.info = {}        # single-atom mask -> (key, lattice, value), None if abstraction raised
+        self._collapsed = {}  # (key, value) -> the mask of the atom it reads back as
+        bounds = [0]          # chunk k brings the pool atoms bounds[k]:bounds[k + 1]
+        for chunk in chunks:
+            self.mask_of(chunk)
+            bounds.append(len(self.atoms))
+        pool = list(self.atoms.values())
+        self.pool = (1 << len(pool)) - 1  # a mask above it holds an atom outside
+        self.firings = set()  # (body mask, head mask)
         # Each clause fires with its head replaced by one that carries
         # the head's arguments and then those of every body call, so each
         # derived atom spells out a firing: its head and the atoms it read.
@@ -170,31 +165,47 @@ class _FiringTable:
         self._raised = set()  # the clauses left out, by position
         idx = _AtomIndex()
         self._fire(idx, None)  # over the empty pool: the bodyless firings
-        for chunk in chunks:
-            delta = [a for a in chunk if a not in self.filed]
+        for start, end in zip(bounds, bounds[1:]):
+            delta = pool[start:end]
             for a in delta:
-                self._canon[a] = a
-                self.filed[a] = []
                 idx.add(a)
             if delta:
                 self._fire(idx, delta)
-            if max_firings is not None and len(self._seen) > max_firings:
+            if max_firings is not None and len(self.firings) > max_firings:
                 raise _TableTooLarge
         self._plans = clause_plans(clauses)  # for the steps taken directly
         self.direct = tuple(p for i, p in enumerate(self._plans) if i in self._raised)
 
-        # (key, lattice, value) per atom, where abstracting it does not raise
-        self.info = {}
-        for atom in self._canon:
-            spec = specs[atom.pred]
+    def one(self, atom):
+        """The mask holding `atom` alone; a new atom takes the next bit."""
+        one = self._one.get(atom)
+        if one is None:
+            one = self._one[atom] = 1 << len(self.atoms)
+            self.atoms[one] = atom
+            spec = self.specs[atom.pred]
             try:
-                self.info[atom] = (spec.key_of(atom), spec.lattice, spec.abstract_atom(atom))
+                self.info[one] = (spec.key_of(atom), spec.lattice, spec.abstract_atom(atom))
             except LatticeError:
-                pass
+                self.info[one] = None
+        return one
+
+    def mask_of(self, atoms):
+        mask = 0
+        for a in atoms:
+            mask |= self.one(a)
+        return mask
+
+    def atoms_of(self, mask):
+        atoms = []
+        while mask:
+            low = mask & -mask
+            atoms.append(self.atoms[low])
+            mask ^= low
+        return frozenset(atoms)
 
     def _fire(self, idx, delta):
         """Record the firings over `idx` that read an atom of `delta`."""
-        live = [i for i in range(len(self.clauses)) if i not in self._raised]
+        live = [i for i in range(len(self._recording)) if i not in self._raised]
         fired = set()
         try:
             _fire_delta([self._recording[i] for i in live], idx, fired, delta)
@@ -204,75 +215,80 @@ class _FiringTable:
                     _fire_delta((self._recording[i],), idx, fired, delta)
                 except LatlogError:
                     self._raised.add(i)
-        canon = self._canon
         for firing in fired:
             clause, spans = self._decode[firing.pred]
-            head = Atom(clause.head.pred, firing.args[:len(clause.head.args)])
-            head = canon.setdefault(head, head)
-            body = frozenset(canon[Atom(pred, firing.args[start:end])]
-                             for pred, start, end in spans)
-            if (body, head) in self._seen:
-                continue
-            self._seen.add((body, head))
-            if body:
-                min((self.filed[a] for a in body), key=len).append((body, head))
-            else:
-                self.always.add(head)
+            head = self.one(Atom(clause.head.pred, firing.args[:len(clause.head.args)]))
+            body = self.mask_of(Atom(pred, firing.args[start:end]) for pred, start, end in spans)
+            self.firings.add((body, head))
 
-    def step(self, atoms):
-        """The immediate step on `atoms`, read from the table when they
-        lie in the pool and computed directly when they do not."""
-        out = set(self.always)
-        filed = self.filed
-        for a in atoms:
-            bucket = filed.get(a)
-            if bucket is None:
-                return immediate_step(self._plans, atoms)
-            for body, head in bucket:
-                if body <= atoms:
-                    out.add(head)
+    def step(self, mask):
+        """The immediate step on `mask`, from the table when it lies in
+        the pool."""
+        if mask > self.pool:
+            return self.mask_of(immediate_step(self._plans, self.atoms_of(mask)))
+        out = 0
+        for body, head in self.firings:
+            if body & mask == body:
+                out |= head
         if self.direct:
-            out |= immediate_step(self.direct, atoms)
-        return frozenset(out)
+            out |= self.mask_of(immediate_step(self.direct, self.atoms_of(mask)))
+        return out
 
-    def aggregate(self, atoms):
-        """`aggregate_atoms`, folding the table's cached keys and values
-        in input order. An atom outside the table, or one whose
-        abstraction raised, hands the whole set to `aggregate_atoms`,
-        which folds it or names the error."""
+    def aggregate(self, mask):
+        """`aggregate_atoms` on the atoms of `mask`, folding their cached
+        keys and values. An atom whose abstraction raised hands the
+        whole set to `aggregate_atoms`, which names the error."""
         info = self.info
         entries = {}
-        try:
-            for a in atoms:
-                key, lattice, value = info[a]
-                old = entries.get(key)
-                entries[key] = value if old is None else join_values(lattice, old, value)
-        except KeyError:
-            return aggregate_atoms(self.specs, atoms)
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            entry = info[low]
+            if entry is None:
+                return aggregate_atoms(self.specs, self.atoms_of(mask))
+            key, lattice, value = entry
+            old = entries.get(key)
+            entries[key] = value if old is None else join_values(lattice, old, value)
         return entries
 
+    def collapse(self, mask):
+        """extract . aggregate on `mask`. Each atom is built from its key
+        and value, never taken from the pool atom the value came from:
+        under `all` and `po` the atom read back writes it as a list."""
+        out = 0
+        collapsed = self._collapsed
+        for kv in self.aggregate(mask).items():
+            one = collapsed.get(kv)
+            if one is None:
+                key, value = kv
+                one = collapsed[kv] = self.one(self.specs[key[0]].atom_of(key, value))
+            out |= one
+        return out
 
-def _compare(x, step, aggregate, specs, fuel, checked):
-    """Both sides of the condition on one subset, as (lhs, rhs) tables.
 
-    `step` and `aggregate` supply the immediate step and the
-    aggregation of an atom set; the strategy chooses them. The left
-    side is cross-checked against the join-extended step, once per
-    distinct stepped set: `checked` holds the ones that have passed.
-    """
-    stepped = step(x)
-    lhs = aggregate(stepped)
-    if stepped not in checked:
-        closed = close_answer_groups(specs, stepped, fuel)
-        if closed is not stepped and aggregate_atoms(specs, closed) != lhs:
+def _compare(x, table, fuel, lhs_of, rhs_of):
+    """Both sides of the condition on the subset `x`, a mask over
+    `table`, as (lhs, rhs) tables. They are memoized per stepped set in
+    `lhs_of`, the left side cross-checked when first computed, and per
+    collapsed set in `rhs_of`."""
+    stepped = table.step(x)
+    lhs = lhs_of.get(stepped)
+    if lhs is None:
+        lhs = table.aggregate(stepped)
+        atoms = table.atoms_of(stepped)
+        closed = close_answer_groups(table.specs, atoms, fuel)
+        if closed is not atoms and aggregate_atoms(table.specs, closed) != lhs:
             raise InternalInconsistencyError(
-                "plain and join-extended steps disagree under aggregation "
-                f"on {{{', '.join(atom_to_str(a) for a in atom_sorted(x))}}}")
-        checked.add(stepped)
-    collapsed = table_atoms(specs, aggregate(x))
+                "plain and join-extended steps disagree under aggregation on "
+                f"{{{', '.join(atom_to_str(a) for a in atom_sorted(table.atoms_of(x)))}}}")
+        lhs_of[stepped] = lhs
+    collapsed = table.collapse(x)
     if collapsed == x:
         return lhs, lhs
-    return lhs, aggregate(step(collapsed))
+    if collapsed not in rhs_of:
+        rhs_of[collapsed] = table.aggregate(table.step(collapsed))
+    return lhs, rhs_of[collapsed]
 
 
 def _trace_subsets(program, specs, fuel):
@@ -302,51 +318,46 @@ def check_greedy_soundness(program: Program, strategy: CheckStrategy,
     cap = strategy.max_atoms if strategy.kind == "exhaustive" else fuel
     universe = atom_universe(program, fuel, cap)
 
-    step = partial(immediate_step, clause_plans(clauses))
-    aggregate = partial(aggregate_atoms, specs)
     if strategy.kind == "exhaustive":
         if not universe.complete:
             reason = (f"universe did not converge to at most {strategy.max_atoms} "
                       f"atoms within fuel {fuel}; use sampled or trace")
             return CheckReport(INCONCLUSIVE, CONDITION, universe, strategy, 0,
                                reason=reason)
-        pool = atom_sorted(universe.atoms)
-        table = _FiringTable(clauses, specs, [pool])
-        step, aggregate = table.step, table.aggregate
-        subsets = (
-            frozenset(a for i, a in enumerate(pool) if mask >> i & 1)
-            for mask in range(1 << len(pool)))
+        # bit i is the i-th atom in atom order, so mask m is subset m + 1
+        table = _FiringTable(clauses, specs, [atom_sorted(universe.atoms)])
+        subsets = range(1 << len(universe.atoms))
     elif strategy.kind == "sampled":
         pool = atom_sorted(universe.atoms)
         rng = random.Random(strategy.seed)
         bound = min(MAX_SUBSET, len(pool))
-        subsets = (
-            frozenset(rng.sample(pool, rng.randint(0, bound)))
-            for _ in range(strategy.samples))
+        table = _FiringTable(clauses, specs, ())  # an empty pool: every step is direct
+        subsets = (table.mask_of(rng.sample(pool, rng.randint(0, bound)))
+                   for _ in range(strategy.samples))
     elif strategy.kind == "trace":
-        subsets = _trace_subsets(program, specs, fuel)
+        trace = _trace_subsets(program, specs, fuel)
         # Stepping every subset directly indexes each of its atoms, so a
         # table recording more firings than the subsets hold atoms saves
         # nothing. That happens when the run replaces values many times
         # under rules that read several of them at once: the pool then
         # holds every value a key ever had, and the firings combine them.
         try:
-            table = _FiringTable(clauses, specs, subsets, max_firings=sum(map(len, subsets)))
-            step, aggregate = table.step, table.aggregate
+            table = _FiringTable(clauses, specs, trace, max_firings=sum(map(len, trace)))
         except _TableTooLarge:
-            pass  # step each subset directly
+            table = _FiringTable(clauses, specs, ())
+        subsets = map(table.mask_of, trace)
     else:
         raise ValueError(f"unknown strategy {strategy.kind!r}")
 
     tested = 0
-    checked = set()
+    lhs_of, rhs_of = {}, {}
     try:
         for x in subsets:
-            lhs, rhs = _compare(x, step, aggregate, specs, fuel, checked)
+            lhs, rhs = _compare(x, table, fuel, lhs_of, rhs_of)
             tested += 1
             if lhs != rhs:
                 return CheckReport(VIOLATION, CONDITION, universe, strategy, tested,
-                                   witness=x, lhs=lhs, rhs=rhs)
+                                   witness=table.atoms_of(x), lhs=lhs, rhs=rhs)
     except _BudgetExceeded:
         reason = (f"the join closure of the step on subset {tested + 1} "
                   f"outgrew fuel {fuel}")

@@ -1,5 +1,7 @@
 """The soundness condition checker and the engine differ."""
 
+import re
+
 import pytest
 
 from conftest import (
@@ -20,8 +22,9 @@ from latlog.checker import (
     diff_semantics,
 )
 from latlog.errors import InternalInconsistencyError, LatlogError
+from latlog.lattice import aggregate_atoms, build_specs, table_atoms
 from latlog.parser import parse_program
-from latlog.terms import Atom, Int, Symbol
+from latlog.terms import Atom, Int, ListTerm, Symbol, atom_sorted
 
 EXHAUSTIVE = CheckStrategy("exhaustive")
 SAMPLED = CheckStrategy("sampled", samples=1000, seed=42)
@@ -228,13 +231,14 @@ def test_every_tested_subset_matches_the_oracle(name, strategy, monkeypatch):
     seen = []  # (subset, its sides or the type of the error raised there)
     compare = checker._compare
 
-    def spy(x, *args):
+    def spy(x, table, *args):
+        subset = table.atoms_of(x)
         try:
-            sides = compare(x, *args)
+            sides = compare(x, table, *args)
         except Exception as exc:
-            seen.append((x, type(exc)))
+            seen.append((subset, type(exc)))
             raise
-        seen.append((x, sides))
+        seen.append((subset, sides))
         return sides
 
     monkeypatch.setattr(checker, "_compare", spy)
@@ -252,6 +256,58 @@ def test_every_tested_subset_matches_the_oracle(name, strategy, monkeypatch):
         assert report.tested == sum(not isinstance(got, type) for _, got in seen)
     if name.startswith("tiny-"):  # small enough that every strategy compares
         assert seen
+
+
+def _first_violation(program, fuel):
+    """(tested, witness) of an exhaustive check, from the oracle: the
+    subsets in enumeration order, bit i standing for the i-th atom of the
+    sorted universe, up to the first one whose sides differ."""
+    pool = atom_sorted(atom_universe(program, fuel).atoms)
+    for mask in range(1 << len(pool)):
+        x = frozenset(a for i, a in enumerate(pool) if mask >> i & 1)
+        lhs, rhs = recompute_sides(program, x, fuel)
+        if lhs != rhs:
+            return mask + 1, x
+    return 1 << len(pool), None
+
+
+ORDER_PROGRAMS = sorted(
+    [name for name in CORPUS_FILES if atom_universe(load(name), 60, cap=10).complete]
+    + ["arith-error", "lazy-error"]
+    + [f"tiny-{lattice}" for lattice in DAG_PROGRAMS])
+
+
+@pytest.mark.parametrize("name", ORDER_PROGRAMS)
+def test_exhaustive_enumeration_order_matches_the_oracle(name):
+    program = ORACLE_PROGRAMS[name]()
+    try:
+        expected = _first_violation(program, 60)
+    except LatlogError as exc:  # a subset raises before any witness
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            check_greedy_soundness(program, EXHAUSTIVE, 60)
+        return
+    report = check_greedy_soundness(program, EXHAUSTIVE, 60)
+    assert (report.tested, report.witness) == expected
+
+
+@pytest.mark.parametrize("header", [
+    ":- table p(index,all).",
+    ":- table p(index,po(better/2)).\nbetter(a,c). better(b,c).",
+])
+def test_a_collapse_reads_back_the_atom_of_its_key_and_value(header):
+    # Under all and po, p(k,a) aggregates to the value {a}, which reads
+    # back as p(k,[a]): an atom outside the pool, not p(k,a) itself.
+    program = parse_program(f"{header}\np(k,a). p(k,b).\n")
+    specs = build_specs(program)
+    pool = atom_sorted(atom_universe(program).atoms)
+    table = checker._FiringTable(program.clauses, specs, [pool])
+    for mask in range(1 << len(pool)):
+        expected = table_atoms(specs, aggregate_atoms(specs, table.atoms_of(mask)))
+        assert table.collapse(mask) == table.mask_of(expected)
+    a, b = (Atom("p", (Symbol("k"), Symbol(v))) for v in "ab")
+    lists = [Atom("p", (Symbol("k"), ListTerm(tuple(map(Symbol, vs))))) for vs in ("a", "ab")]
+    assert table.collapse(table.mask_of([a])) == table.one(lists[0]) != table.one(a)
+    assert table.collapse(table.mask_of([a, b])) == table.one(lists[1])
 
 
 # Four groups p(kI,a), p(kI,b) under the lub table of lub_lattice.pl,
