@@ -13,7 +13,8 @@ universe of reachable atoms and reports honestly: a clean pass is
 "no violation found", never a proof. Three strategies pick the tested
 subsets: exhaustive (every subset of a small converged universe),
 sampled (seeded random subsets), and trace (the sets an actual greedy
-run touches).
+run touches). Exhaustive compares only the subsets that can decide it,
+key by key (see below).
 
 The subsets of one check share almost all of their rule firings. So
 each check fires the program's rules once, over a pool holding the
@@ -48,12 +49,27 @@ the program. The right side is memoized per distinct collapsed set.
 When the join closure of a step outgrows `fuel`, the check is
 inconclusive.
 
+An exhaustive check compares the sides key by key. At an answer key k
+both read only the subset's atoms in k's span, the pool atoms of the
+answer groups that k's firings read: the left side reads those
+firings' bodies, and the right side the groups' collapse, which works
+group by group. So the least violating mask is a submask of some span,
+and the check compares the spans' submasks in ascending order. The
+first that violates is reported as subset mask + 1, and a clean pass
+as all 2^n: `tested` counts the subsets decided, not those compared,
+and the cross-check covers the compared subsets' stepped sets. Every
+mask is compared in order instead when a clause is stepped directly,
+an abstraction raised, a collapse can read back an atom outside the
+pool (the lists of `all` and `po`), `fuel` is below the universe size,
+or the key-local pass raises.
+
 `diff_semantics` is the blunt instrument next to these: run both
 engines and compare answers.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import namedtuple
 
@@ -291,6 +307,78 @@ def _compare(x, table, fuel, lhs_of, rhs_of):
     return lhs, rhs_of[collapsed]
 
 
+def _key_spans(table, fuel):
+    """The span of each answer key the firings derive: the pool atoms
+    of every answer group that the key's firings read. None where the
+    key-local pass might not give the per-mask loop's report (see the
+    module docstring)."""
+    info = table.info
+    size = table.pool.bit_length()
+    if table.direct or fuel < size or None in info.values():
+        return None
+    groups = {}  # key -> {value: the bit of the pool atom holding it}
+    for one in (1 << i for i in range(size)):
+        if table.collapse(one) != one:  # it reads back as another atom
+            return None
+        key, _, value = info[one]
+        groups.setdefault(key, {})[value] = one
+    group_of = {}  # single-atom mask -> the mask of its answer group
+    for key, bits in groups.items():
+        lattice = table.specs[key[0]].lattice
+        if any(join_values(lattice, u, v) not in bits for u in bits for v in bits):
+            return None  # some collapse reads back an atom outside the pool
+        group_of.update(dict.fromkeys(bits.values(), sum(bits.values())))
+    reads = {}  # head key -> the pool atoms its firings read
+    for body, head in table.firings:
+        key = info[head][0]
+        reads[key] = reads.get(key, 0) | body
+    spans = set()
+    for body in reads.values():
+        span = 0
+        while body:
+            low = body & -body
+            body ^= low
+            span |= group_of[low]
+        spans.add(span)
+    return spans
+
+
+def _submasks(span):
+    """Every submask of `span`, in ascending order."""
+    x = 0
+    while True:
+        yield x
+        if x == span:
+            return
+        x = (x - span) & span
+
+
+def _key_local_report(table, fuel, universe, strategy):
+    """The exhaustive check's report from the submasks of the key spans
+    alone, or None where the per-mask loop must decide: when the pass
+    does not apply, or raises, since the loop then raises or reports
+    exactly what it would anyway."""
+    try:
+        spans = _key_spans(table, fuel)
+        if spans is None:
+            return None
+        # a span inside another adds no submask
+        spans = [s for s in spans if not any(s != t and s & t == s for t in spans)]
+        lhs_of, rhs_of = {}, {}
+        last = None
+        for x in heapq.merge(*map(_submasks, spans)):
+            if x == last:
+                continue
+            last = x
+            lhs, rhs = _compare(x, table, fuel, lhs_of, rhs_of)
+            if lhs != rhs:
+                return CheckReport(VIOLATION, CONDITION, universe, strategy, x + 1,
+                                   witness=table.atoms_of(x), lhs=lhs, rhs=rhs)
+    except (LatlogError, _BudgetExceeded):
+        return None
+    return CheckReport(NO_VIOLATION, CONDITION, universe, strategy, 1 << len(universe.atoms))
+
+
 def _trace_subsets(program, specs, fuel):
     """The subsets a greedy run actually visits, in visiting order:
     each table's extracted atoms, then their immediate consequences
@@ -326,6 +414,9 @@ def check_greedy_soundness(program: Program, strategy: CheckStrategy,
                                reason=reason)
         # bit i is the i-th atom in atom order, so mask m is subset m + 1
         table = _FiringTable(clauses, specs, [atom_sorted(universe.atoms)])
+        report = _key_local_report(table, fuel, universe, strategy)
+        if report is not None:
+            return report
         subsets = range(1 << len(universe.atoms))
     elif strategy.kind == "sampled":
         pool = atom_sorted(universe.atoms)

@@ -4,6 +4,17 @@ import random
 import pytest
 
 import latlog
+from latlog.checker import (
+    CONDITION,
+    INCONCLUSIVE,
+    NO_VIOLATION,
+    VIOLATION,
+    CheckReport,
+    _compare,
+    _FiringTable,
+    atom_universe,
+    check_greedy_soundness,
+)
 from latlog.errors import ArithmeticTypeError, LatlogError
 from latlog.lattice import aggregate_atoms, build_specs, join_values, table_atoms
 from latlog.program import Call, Var, clause_to_str, fact_clause, pattern_to_str
@@ -352,6 +363,41 @@ def naive_reference_semantics(program, fuel) -> EvalOutcome:
         results.append(StratumResult(names, lower, fp.steps, True))
     return EvalOutcome(True, lower, aggregate_atoms(specs, lower),
                        total, tuple(results), None)
+
+
+# --- the per-mask loop: the oracle for the key-local exhaustive check -------
+
+
+def per_mask_check(program, strategy, fuel):
+    """`check_greedy_soundness` under `exhaustive`, comparing every mask
+    of the universe in ascending order until one violates."""
+    universe = atom_universe(program, fuel, strategy.max_atoms)
+    if not universe.complete:  # inconclusive before any subset
+        return check_greedy_soundness(program, strategy, fuel)
+    table = _FiringTable(program.clauses, build_specs(program), [atom_sorted(universe.atoms)])
+    tested = 0
+    lhs_of, rhs_of = {}, {}
+    try:
+        for x in range(1 << len(universe.atoms)):
+            lhs, rhs = _compare(x, table, fuel, lhs_of, rhs_of)
+            tested += 1
+            if lhs != rhs:
+                return CheckReport(VIOLATION, CONDITION, universe, strategy, tested,
+                                   witness=table.atoms_of(x), lhs=lhs, rhs=rhs)
+    except _BudgetExceeded:
+        reason = f"the join closure of the step on subset {tested + 1} outgrew fuel {fuel}"
+        return CheckReport(INCONCLUSIVE, CONDITION, universe, strategy, tested, reason=reason)
+    return CheckReport(NO_VIOLATION, CONDITION, universe, strategy, tested)
+
+
+# p(a,foo) makes the q rule raise, but only on subsets that hold it;
+# with the a/1 rules, a witness comes before any such subset
+ARITH_ERROR = """:- table p(index,min). :- table q(max).
+p(a,1). p(a,foo). q(X) :- p(a,Y), X is Y+1.
+"""
+LAZY_ERROR = ARITH_ERROR + """:- table a(max).
+a(0). a(1). a(2) :- a(X), X >= 1. a(3) :- a(X), X = 0.
+"""
 
 
 # --- canonical program text: the printer for the parser's round trip -------

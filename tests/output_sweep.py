@@ -120,6 +120,19 @@ EDGE_PROGRAMS = {
         ":- table p(index,index,min,max).\ne(a,b). e(b,a).\n"
         "p(X,Y,1,1) :- e(X,Y).\n"
         "p(X,Y,A,B) :- p(X,Z,A1,B1), e(Z,Y), A is A1+1, B is B1+1.\n",
+    # exhaustive checks of 13-16 atoms, under the default --max-atoms 16:
+    # a min DAG and a (min,max) chain that the key-local pass decides,
+    # and an all program, whose read-back lists send it to the per-mask loop
+    "min_dag_14_atoms.pl":
+        ":- table p(index,index,min).\n"
+        "e(n0,n1,hi). e(n0,n2,mid). e(n0,n3,lo). e(n1,n2,hi). e(n2,n3,lo).\n"
+        "p(X,Y,1) :- e(X,Y,L).\np(X,Y,D) :- p(X,Z,D1), p(Z,Y,D2), D is D1+D2.\n",
+    "minmax_chain_14_atoms.pl":
+        ":- table p(index,index,min,max).\ne(n0,n1). e(n0,n2). e(n1,n2). e(n2,n3).\n"
+        "p(X,Y,1,1) :- e(X,Y).\np(X,Y,D,M) :- p(X,Z,D1,M1), e(Z,Y), D is D1+1, M is M1+1.\n",
+    "all_paths_15_atoms.pl":
+        ":- table p(index,index,all).\ne(n0,n1). e(n0,n2). e(n1,n2). e(n2,n3). e(n0,n3).\n"
+        "p(X,Y,X) :- e(X,Y).\np(X,Y,Z) :- p(X,Z,W), e(Z,Y).\n",
 }
 # edge programs run at a fuel of their own, not at FUEL
 EDGE_FUEL = {"cyclic_minmax.pl": "5"}
