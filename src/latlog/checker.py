@@ -22,17 +22,19 @@ subsets it tests: the universe, whose answer groups are closed under
 the join, or the trace subsets. The firing table keeps each firing
 with the body atoms it read, which is the why-provenance of the step
 (Green, Karvounarakis and Tannen, PODS 2007). Every atom set is an int
-bit mask over one numbering of the atoms the check meets: the pool
-first, sorted for `exhaustive`, whose subset m + 1 is mask m, then
-each other atom when first met. The step on a mask inside the pool
-ORs the heads of the firings whose body mask lies inside it; any other
-mask is stepped directly. A clause whose builtins raise while the
-table is built is fired directly on each subset, so an error surfaces
-only at a subset whose own step raises it, with the same message.
-Where a trace table would record more firings than the trace subsets
-hold atoms, and always for `sampled`, whose few small subsets come
-from pools of up to `fuel` atoms, the pool is empty: every step is
-direct.
+bit mask over one numbering of the atoms the check meets: for
+`exhaustive` the sorted universe first, whose subset m + 1 is mask m,
+then each other atom when first met. The step on a mask inside the
+pool ORs the heads of the firings whose body mask lies inside it; any
+other mask is stepped directly. A trace pool grows along the greedy
+run, and each table's step is read off the firing table: the lower
+strata's answers, and the heads of the stratum's firings inside the
+table's atoms. A clause whose builtins raise while the table is built
+is fired directly on each subset, so an error surfaces only at a
+subset whose own step raises it, with the same message. Where a trace
+table records more firings than the trace subsets hold atoms, and
+always for `sampled`, whose few small subsets come from pools of up to
+`fuel` atoms, the pool is empty: every step is direct.
 
 Each atom's key and value are abstracted once, when it is numbered,
 and folded in any order, since the join of two values that abstraction
@@ -89,6 +91,7 @@ from .reference import (
     stratified_reference_semantics,
     stratum_lfp,
 )
+from .stratify import stratify
 from .terms import Atom, atom_key, atom_sorted, atom_to_str
 
 NO_VIOLATION = "no-violation-found"
@@ -136,32 +139,22 @@ def atom_universe(program: Program, fuel=DEFAULT_FUEL, cap=16) -> UniverseResult
     return UniverseResult(outcome.converged and len(seen) <= cap, frozenset(seen))
 
 
-class _TableTooLarge(Exception):
-    """Internal: a firing table outgrew its budget while being built."""
-
-
 class _FiringTable:
     """Every firing of one immediate step over a pool of atoms, on atom
     sets written as bit masks (see the module docstring).
 
-    The pool arrives in chunks, and each chunk fires only the rules
-    that read one of its new atoms. Building stops with
-    `_TableTooLarge` once a chunk leaves more than `max_firings`
-    firings recorded.
+    The pool starts as the atoms of `pool`, which take the first bits
+    in its order, and grows by `add`. Each addition fires only the
+    rules that read one of its new atoms.
     """
 
-    def __init__(self, clauses, specs, chunks, max_firings=None):
+    def __init__(self, clauses, specs, pool=()):
         self.specs = specs
         self.atoms = {}       # single-atom mask -> atom
         self._one = {}        # atom -> its mask
         self.info = {}        # single-atom mask -> (key, lattice, value), None if abstraction raised
         self._collapsed = {}  # (key, value) -> the mask of the atom it reads back as
-        bounds = [0]          # chunk k brings the pool atoms bounds[k]:bounds[k + 1]
-        for chunk in chunks:
-            self.mask_of(chunk)
-            bounds.append(len(self.atoms))
-        pool = list(self.atoms.values())
-        self.pool = (1 << len(pool)) - 1  # a mask above it holds an atom outside
+        self.pool = 0         # a mask with a bit outside it holds an atom outside the pool
         self.firings = set()  # (body mask, head mask)
         # Each clause fires with its head replaced by one that carries
         # the head's arguments and then those of every body call, so each
@@ -178,19 +171,22 @@ class _FiringTable:
             self._recording.append(Clause(Call(f"$fired{i}", tuple(args)), clause.body))
             self._decode[f"$fired{i}"] = (clause, spans)
         self._recording = clause_plans(self._recording)
-        self._raised = set()  # the clauses left out, by position
-        idx = _AtomIndex()
-        self._fire(idx, None)  # over the empty pool: the bodyless firings
-        for start, end in zip(bounds, bounds[1:]):
-            delta = pool[start:end]
-            for a in delta:
-                idx.add(a)
-            if delta:
-                self._fire(idx, delta)
-            if max_firings is not None and len(self.firings) > max_firings:
-                raise _TableTooLarge
         self._plans = clause_plans(clauses)  # for the steps taken directly
-        self.direct = tuple(p for i, p in enumerate(self._plans) if i in self._raised)
+        self._raised = set()  # the clauses left out, by position
+        self._idx = _AtomIndex()
+        mask = self.mask_of(pool)
+        self._fire(None)  # over the empty pool: the bodyless firings
+        self.add(mask)
+
+    def add(self, mask):
+        """Add the atoms of `mask` to the pool, and record the firings
+        that read one of them."""
+        delta = self.atoms_of(mask & ~self.pool)
+        if delta:
+            self.pool |= mask
+            for a in delta:
+                self._idx.add(a)
+            self._fire(delta)
 
     def one(self, atom):
         """The mask holding `atom` alone; a new atom takes the next bit."""
@@ -219,18 +215,19 @@ class _FiringTable:
             mask ^= low
         return frozenset(atoms)
 
-    def _fire(self, idx, delta):
-        """Record the firings over `idx` that read an atom of `delta`."""
+    def _fire(self, delta):
+        """Record the firings over the pool that read an atom of `delta`."""
         live = [i for i in range(len(self._recording)) if i not in self._raised]
         fired = set()
         try:
-            _fire_delta([self._recording[i] for i in live], idx, fired, delta)
+            _fire_delta([self._recording[i] for i in live], self._idx, fired, delta)
         except LatlogError:  # fire clause by clause, to leave out those that raise
             for i in live:
                 try:
-                    _fire_delta((self._recording[i],), idx, fired, delta)
+                    _fire_delta((self._recording[i],), self._idx, fired, delta)
                 except LatlogError:
                     self._raised.add(i)
+        self.direct = tuple(p for i, p in enumerate(self._plans) if i in self._raised)
         for firing in fired:
             clause, spans = self._decode[firing.pred]
             head = self.one(Atom(clause.head.pred, firing.args[:len(clause.head.args)]))
@@ -240,7 +237,7 @@ class _FiringTable:
     def step(self, mask):
         """The immediate step on `mask`, from the table when it lies in
         the pool."""
-        if mask > self.pool:
+        if mask | self.pool != self.pool:
             return self.mask_of(immediate_step(self._plans, self.atoms_of(mask)))
         out = 0
         for body, head in self.firings:
@@ -380,22 +377,47 @@ def _key_local_report(table, fuel, universe, strategy):
 
 
 def _trace_subsets(program, specs, fuel):
-    """The subsets a greedy run actually visits, in visiting order:
-    each table's extracted atoms, then their immediate consequences
-    under that stratum's clauses (the set the engine aggregates next)."""
+    """The subsets a greedy run visits, in visiting order, as masks over
+    a firing table that steps them: each table's atoms, then their step
+    under that stratum's clauses. A table that outgrows the subsets'
+    atoms in firings, as when a run keeps replacing values that rules
+    read several at once, is dropped for an empty pool."""
     sink = []
     stratified_greedy_semantics(program, fuel, trace_sink=sink)
-    seen = set()
-    out = []
-    for clauses, tables in sink:
+    table = _FiringTable(program.clauses, specs)
+    runs = [(preds, clauses, [table.mask_of(table_atoms(specs, t)) for t in tables])
+            for preds, (clauses, tables) in zip(stratify(program).strata, sink)]
+    seen = {x for *_, tables in runs for x in tables}  # and each stepped set
+    budget = sum(map(int.bit_count, seen))
+    kept = True  # the table steps the run; else each table is stepped directly
+    trace = {}  # the subsets, in visiting order
+    for preds, clauses, tables in runs:
         plans = clause_plans(clauses)
-        for t in tables:
-            atoms = table_atoms(specs, t)
-            for x in (atoms, immediate_step(plans, atoms)):
-                if x not in seen:
-                    seen.add(x)
-                    out.append(x)
-    return out
+        lower = table.mask_of(Atom(c.head.pred, c.head.args)
+                              for c in clauses if c.head.pred not in preds)
+        for x in tables:
+            if not kept:
+                stepped = table.mask_of(immediate_step(plans, table.atoms_of(x)))
+            else:  # the lower answers, and the stratum's firings inside x
+                table.add(x)
+                stepped = lower
+                direct = [p for p in table.direct if p[0].head.pred in preds]
+                if direct:
+                    stepped |= table.mask_of(immediate_step(direct, table.atoms_of(x)))
+                for body, head in table.firings:
+                    if body & x == body and table.atoms[head].pred in preds:
+                        stepped |= head
+            trace[x] = trace[stepped] = None
+            if stepped not in seen:
+                seen.add(stepped)
+                budget += stepped.bit_count()
+            kept = kept and len(table.firings) <= budget
+            if kept:
+                table.add(stepped)
+    if kept and len(table.firings) <= budget:
+        return list(trace), table
+    empty = _FiringTable(program.clauses, specs)
+    return [empty.mask_of(table.atoms_of(x)) for x in trace], empty
 
 
 def check_greedy_soundness(program: Program, strategy: CheckStrategy,
@@ -413,7 +435,7 @@ def check_greedy_soundness(program: Program, strategy: CheckStrategy,
             return CheckReport(INCONCLUSIVE, CONDITION, universe, strategy, 0,
                                reason=reason)
         # bit i is the i-th atom in atom order, so mask m is subset m + 1
-        table = _FiringTable(clauses, specs, [atom_sorted(universe.atoms)])
+        table = _FiringTable(clauses, specs, atom_sorted(universe.atoms))
         report = _key_local_report(table, fuel, universe, strategy)
         if report is not None:
             return report
@@ -422,21 +444,11 @@ def check_greedy_soundness(program: Program, strategy: CheckStrategy,
         pool = atom_sorted(universe.atoms)
         rng = random.Random(strategy.seed)
         bound = min(MAX_SUBSET, len(pool))
-        table = _FiringTable(clauses, specs, ())  # an empty pool: every step is direct
+        table = _FiringTable(clauses, specs)  # an empty pool: every step is direct
         subsets = (table.mask_of(rng.sample(pool, rng.randint(0, bound)))
                    for _ in range(strategy.samples))
     elif strategy.kind == "trace":
-        trace = _trace_subsets(program, specs, fuel)
-        # Stepping every subset directly indexes each of its atoms, so a
-        # table recording more firings than the subsets hold atoms saves
-        # nothing. That happens when the run replaces values many times
-        # under rules that read several of them at once: the pool then
-        # holds every value a key ever had, and the firings combine them.
-        try:
-            table = _FiringTable(clauses, specs, trace, max_firings=sum(map(len, trace)))
-        except _TableTooLarge:
-            table = _FiringTable(clauses, specs, ())
-        subsets = map(table.mask_of, trace)
+        subsets, table = _trace_subsets(program, specs, fuel)
     else:
         raise ValueError(f"unknown strategy {strategy.kind!r}")
 

@@ -10,12 +10,14 @@ from latlog.checker import (
     NO_VIOLATION,
     VIOLATION,
     CheckReport,
+    CheckStrategy,
     _compare,
     _FiringTable,
     atom_universe,
     check_greedy_soundness,
 )
 from latlog.errors import ArithmeticTypeError, LatlogError
+from latlog.greedy import stratified_greedy_semantics
 from latlog.lattice import aggregate_atoms, build_specs, join_values, table_atoms
 from latlog.program import Call, Var, clause_to_str, fact_clause, pattern_to_str
 from latlog.reference import (
@@ -365,20 +367,16 @@ def naive_reference_semantics(program, fuel) -> EvalOutcome:
                        total, tuple(results), None)
 
 
-# --- the per-mask loop: the oracle for the key-local exhaustive check -------
+# --- the per-mask loop and the trace replay: oracles for the checker ---------
 
 
-def per_mask_check(program, strategy, fuel):
-    """`check_greedy_soundness` under `exhaustive`, comparing every mask
-    of the universe in ascending order until one violates."""
-    universe = atom_universe(program, fuel, strategy.max_atoms)
-    if not universe.complete:  # inconclusive before any subset
-        return check_greedy_soundness(program, strategy, fuel)
-    table = _FiringTable(program.clauses, build_specs(program), [atom_sorted(universe.atoms)])
+def mask_loop(table, subsets, universe, strategy, fuel):
+    """`check_greedy_soundness`'s loop: compare the masks of `subsets`
+    over `table` in order, until one violates."""
     tested = 0
     lhs_of, rhs_of = {}, {}
     try:
-        for x in range(1 << len(universe.atoms)):
+        for x in subsets:
             lhs, rhs = _compare(x, table, fuel, lhs_of, rhs_of)
             tested += 1
             if lhs != rhs:
@@ -390,6 +388,45 @@ def per_mask_check(program, strategy, fuel):
     return CheckReport(NO_VIOLATION, CONDITION, universe, strategy, tested)
 
 
+def per_mask_check(program, strategy, fuel):
+    """`check_greedy_soundness` under `exhaustive`, comparing every mask
+    of the universe in ascending order until one violates."""
+    universe = atom_universe(program, fuel, strategy.max_atoms)
+    if not universe.complete:  # inconclusive before any subset
+        return check_greedy_soundness(program, strategy, fuel)
+    table = _FiringTable(program.clauses, build_specs(program), atom_sorted(universe.atoms))
+    return mask_loop(table, range(1 << len(universe.atoms)), universe, strategy, fuel)
+
+
+def replay_trace_subsets(program, fuel):
+    """The subsets a greedy run visits, in visiting order: each table's
+    extracted atoms, then their immediate consequences under that
+    stratum's clauses, lower-strata answers injected as facts, each
+    stepped directly."""
+    specs = build_specs(program)
+    sink = []
+    stratified_greedy_semantics(program, fuel, trace_sink=sink)
+    seen = set()
+    out = []
+    for clauses, tables in sink:
+        for t in tables:
+            atoms = table_atoms(specs, t)
+            for x in (atoms, immediate_step(clauses, atoms)):
+                if x not in seen:
+                    seen.add(x)
+                    out.append(x)
+    return out
+
+
+def replay_trace_check(program, fuel):
+    """`check_greedy_soundness` under `trace`, on the replay's subsets,
+    with every step direct."""
+    universe = atom_universe(program, fuel, fuel)
+    subsets = replay_trace_subsets(program, fuel)
+    table = _FiringTable(program.clauses, build_specs(program))  # an empty pool
+    return mask_loop(table, map(table.mask_of, subsets), universe, CheckStrategy("trace"), fuel)
+
+
 # p(a,foo) makes the q rule raise, but only on subsets that hold it;
 # with the a/1 rules, a witness comes before any such subset
 ARITH_ERROR = """:- table p(index,min). :- table q(max).
@@ -398,6 +435,38 @@ p(a,1). p(a,foo). q(X) :- p(a,Y), X is Y+1.
 LAZY_ERROR = ARITH_ERROR + """:- table a(max).
 a(0). a(1). a(2) :- a(X), X >= 1. a(3) :- a(X), X = 0.
 """
+
+
+# e, d and best are three strata: d's steps read e's answers as
+# injected facts, and best's read d's answers, not every atom d's rules
+# derive
+THREE_STRATA = """:- table d(index,min).
+:- table best(min).
+e(a,b,3). e(b,c,1). e(a,c,5). e(c,d,2).
+d(Y,C) :- e(a,Y,C).
+d(Y,C) :- d(X,C1), e(X,Y,C2), C is C1+C2.
+best(C) :- d(c,C).
+best(C) :- d(d,C1), C is C1-3.
+"""
+
+# p(a,1) and p(b,infty) are never in one subset, but both are in the
+# pool, where the q rule raises on them: q is stepped directly
+POOL_RAISE = """:- table p(index,lattice(max_inf/3)).
+p(c,1).
+p(c,2) :- p(c,1).
+p(a,1) :- p(c,1).
+p(a,2) :- p(c,2).
+p(b,infty) :- p(a,2).
+q(Z) :- p(a,1), p(b,Y), Z is Y+1.
+"""
+
+# the shape of paths_min's trace-checked programs: a 12-node chain with
+# one edge from each node skipping ahead by 2-4 nodes
+BENCH_MIN = """:- table p(index,index,min).
+p(X,Y,1) :- e(X,Y).
+p(X,Y,D) :- p(X,Z,D1), e(Z,Y), D is D1+1.
+""" + "".join(f"e(n{v},n{v + 1}). " for v in range(11)) + "".join(
+    f"e(n{v},n{min(11, v + 2 + v % 3)}). " for v in range(10)) + "\n"
 
 
 # --- canonical program text: the printer for the parser's round trip -------

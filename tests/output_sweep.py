@@ -6,13 +6,14 @@
 The programs are the corpus, the benchmark's workload programs for two
 seeds (read through `bench/workloads.generate`), the seeded DAG
 programs of `conftest.random_dag_program` for each lattice at seeds
-0-2, and the edge programs below. Each runs under `eval` on both
-engines, `diff --json`, and the three check strategies, by calling
-`latlog.cli.main` in-process. The benchmark's programs run at the
-benchmark's fuel, the edge programs in `EDGE_FUEL` at theirs, and the
-others at fuel 200, as the goldens do. The JSON maps "program argv" to
-[exit code, stdout, stderr]; an exception escaping `main` is recorded
-as exit code null and its one-line description.
+0-2, the edge programs below, and conftest's trace-check programs.
+Each runs under `eval` on both engines, `diff --json`, and the three
+check strategies, by calling `latlog.cli.main` in-process. The
+benchmark's programs run at the benchmark's fuel, the edge programs
+in `EDGE_FUEL` at theirs, and the others at fuel 200, as the goldens
+do. The JSON maps "program argv" to [exit code, stdout, stderr]; an
+exception escaping `main` is recorded as exit code null and its
+one-line description.
 
 Sweeps taken at two commits, or at two values of PYTHONHASHSEED, show
 every output a change moved: `--compare` lists the runs that differ
@@ -141,7 +142,8 @@ EDGE_FUEL = {"cyclic_minmax.pl": "5"}
 def programs():
     """{file name: (program text, fuel)}, in a fixed order."""
     import workloads
-    from conftest import CORPUS, CORPUS_FILES, DAG_PROGRAMS, program_to_text, random_dag_program
+    from conftest import (BENCH_MIN, CORPUS, CORPUS_FILES, DAG_PROGRAMS, POOL_RAISE,
+                          THREE_STRATA, program_to_text, random_dag_program)
 
     out = {name: ((CORPUS / name).read_text(encoding="utf-8"), FUEL) for name in CORPUS_FILES}
     for workload in workloads.WORKLOADS:
@@ -153,6 +155,10 @@ def programs():
             text = program_to_text(random_dag_program(lattice, seed))
             out[f"dag_{lattice}_{seed}.pl"] = (text, FUEL)
     out.update((name, (text, EDGE_FUEL.get(name, FUEL))) for name, text in EDGE_PROGRAMS.items())
+    # trace checks that read lower strata's answers, step a clause that
+    # raises in the pool directly, and run on the benchmark's DAG shape
+    out.update({"three_strata.pl": (THREE_STRATA, FUEL), "pool_raise.pl": (POOL_RAISE, FUEL),
+                "bench_min_dag12.pl": (BENCH_MIN, FUEL)})
     return out
 
 

@@ -307,7 +307,7 @@ def test_a_collapse_reads_back_the_atom_of_its_key_and_value(header):
     program = parse_program(f"{header}\np(k,a). p(k,b).\n")
     specs = build_specs(program)
     pool = atom_sorted(atom_universe(program).atoms)
-    table = checker._FiringTable(program.clauses, specs, [pool])
+    table = checker._FiringTable(program.clauses, specs, pool)
     for mask in range(1 << len(pool)):
         expected = table_atoms(specs, aggregate_atoms(specs, table.atoms_of(mask)))
         assert table.collapse(mask) == table.mask_of(expected)
