@@ -83,7 +83,7 @@ from .reference import (
     DEFAULT_FUEL,
     _AtomIndex,
     _BudgetExceeded,
-    _fire_delta,
+    _fire_pivots,
     clause_plans,
     close_answer_groups,
     evaluate_strata,
@@ -91,7 +91,6 @@ from .reference import (
     stratified_reference_semantics,
     stratum_lfp,
 )
-from .stratify import stratify
 from .terms import Atom, atom_key, atom_sorted, atom_to_str
 
 NO_VIOLATION = "no-violation-found"
@@ -220,11 +219,11 @@ class _FiringTable:
         live = [i for i in range(len(self._recording)) if i not in self._raised]
         fired = set()
         try:
-            _fire_delta([self._recording[i] for i in live], self._idx, fired, delta)
+            _fire_pivots([self._recording[i] for i in live], self._idx, fired, delta)
         except LatlogError:  # fire clause by clause, to leave out those that raise
             for i in live:
                 try:
-                    _fire_delta((self._recording[i],), self._idx, fired, delta)
+                    _fire_pivots((self._recording[i],), self._idx, fired, delta)
                 except LatlogError:
                     self._raised.add(i)
         self.direct = tuple(p for i, p in enumerate(self._plans) if i in self._raised)
@@ -383,10 +382,10 @@ def _trace_subsets(program, specs, fuel):
     atoms in firings, as when a run keeps replacing values that rules
     read several at once, is dropped for an empty pool."""
     sink = []
-    stratified_greedy_semantics(program, fuel, trace_sink=sink)
+    outcome = stratified_greedy_semantics(program, fuel, trace_sink=sink)
     table = _FiringTable(program.clauses, specs)
-    runs = [(preds, clauses, [table.mask_of(table_atoms(specs, t)) for t in tables])
-            for preds, (clauses, tables) in zip(stratify(program).strata, sink)]
+    runs = [(stratum.preds, clauses, [table.mask_of(table_atoms(specs, t)) for t in tables])
+            for stratum, (clauses, tables) in zip(outcome.strata, sink)]
     seen = {x for *_, tables in runs for x in tables}  # and each stepped set
     budget = sum(map(int.bit_count, seen))
     kept = True  # the table steps the run; else each table is stepped directly

@@ -29,7 +29,7 @@ from .errors import LatlogError, ParseError
 from .greedy import stratified_greedy_semantics
 from .lattice import sorted_items, value_to_str
 from .parser import parse_program
-from .reference import stratified_reference_semantics
+from .reference import DEFAULT_FUEL, stratified_reference_semantics
 from .stratify import stratify
 from .terms import atom_sorted, atom_to_str
 
@@ -43,17 +43,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     def common(p, strategy=False):
         p.add_argument("file", help="program file")
-        p.add_argument("--fuel", type=_positive_int, default=10000,
-                       help="step and size budget per stratum (default 10000)")
+        p.add_argument("--fuel", type=_positive_int, default=DEFAULT_FUEL,
+                       help=f"step and size budget per stratum (default {DEFAULT_FUEL})")
         p.add_argument("--json", action="store_true", help="JSON report")
         if strategy:
+            defaults = CheckStrategy._field_defaults
             p.add_argument("--strategy",
                            choices=("exhaustive", "sampled", "trace"),
                            default="exhaustive")
-            p.add_argument("--max-atoms", type=_max_atoms, default=16,
+            p.add_argument("--max-atoms", type=_max_atoms, default=defaults["max_atoms"],
                            help="universe bound for exhaustive checks (1..24)")
-            p.add_argument("--samples", type=_positive_int, default=1000)
-            p.add_argument("--seed", type=int, default=42)
+            p.add_argument("--samples", type=_positive_int, default=defaults["samples"])
+            p.add_argument("--seed", type=int, default=defaults["seed"])
 
     pe = sub.add_parser("eval", help="run one engine, print the answers")
     common(pe)

@@ -369,23 +369,16 @@ def sorted_items(table):
     return sorted(table.items(), key=lambda kv: atom_key(kv[0]))
 
 
-def _spec_for(specs, pred):
-    try:
-        return specs[pred]
-    except KeyError:
-        raise DomainError(f"no mode information for predicate {pred}") from None
-
-
 def table_atoms(specs, table) -> frozenset:
     """All atoms a table claims true (the extraction half of aggregation)."""
-    return frozenset(_spec_for(specs, key[0]).atom_of(key, value)
+    return frozenset(specs[key[0]].atom_of(key, value)
                      for key, value in table.items())
 
 
 def _fold(specs, atoms):
     table = {}
     for atom in atoms:
-        spec = _spec_for(specs, atom.pred)
+        spec = specs[atom.pred]
         key = spec.key_of(atom)
         value = spec.abstract_atom(atom)
         old = table.get(key)
@@ -414,5 +407,5 @@ def table_join(specs, tables) -> dict:
         for key, value in t.items():
             old = joined.get(key)
             joined[key] = (value if old is None
-                           else join_values(_spec_for(specs, key[0]).lattice, old, value))
+                           else join_values(specs[key[0]].lattice, old, value))
     return joined

@@ -17,6 +17,9 @@ for range restriction: every variable in a head or builtin must be
 bound by an earlier call, or by an earlier `is` output. No term may
 nest more than MAX_TERM_DEPTH lists, compounds or operators deep, and
 no integer may have more than MAX_INT_DIGITS digits.
+
+Each token carries its offset in the text; an error's line and column
+are worked out from that offset only when the error is raised.
 """
 
 from __future__ import annotations
@@ -49,42 +52,47 @@ _REJECTED_MODES = frozenset({"first", "last", "sum"})
 _SIMPLE_MODES = {"index": INDEX, "nt": INDEX, "min": Mode("min"),
                  "max": Mode("max"), "all": Mode("all")}
 _COMPARE_OPS = frozenset({"=", "<", "=<", ">", ">="})
+_RELATION_ARITY = {"lattice": 3, "po": 2}  # of the relation each such mode names
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>%[^\n]*)
+    r"""(?P<skip>\s+|%[^\n]*)
       | (?P<int>\d+)
       | (?P<ident>[a-z][A-Za-z0-9_]*)
       | (?P<var>[A-Z_][A-Za-z0-9_]*)
       | (?P<punct>:-|=<|>=|[()\[\],.=<>+\-*/])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
+_TOO_DEEP = f"term nested deeper than {MAX_TERM_DEPTH} levels"
 
 
-_Tok = namedtuple("_Tok", "kind value line col")
+# kind: "int", "ident", "var", "end", or a punctuation mark's own text;
+# at: the token's offset in the program text
+_Tok = namedtuple("_Tok", "kind value at")
+
+
+def _error(text, at, message, cls=ParseError):
+    """`cls(message)` at offset `at` of `text`, with its line and column."""
+    line_start = text.rfind("\n", 0, at) + 1
+    return cls(message, text.count("\n", 0, line_start) + 1, at - line_start + 1)
 
 
 def _tokenize(text):
     toks = []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "skip":
+            continue
         value = m.group()
-        if kind == "int" and len(value) > MAX_INT_DIGITS:
-            raise ParseError(f"integer longer than {MAX_INT_DIGITS} digits",
-                             line, pos - line_start + 1)
-        if kind not in ("ws", "comment"):
-            toks.append(_Tok(kind, value, line, m.start() - line_start + 1))
-        nl = value.count("\n")
-        if nl:
-            line += nl
-            line_start = m.start() + value.rindex("\n") + 1
-        pos = m.end()
-    toks.append(_Tok("end", "", line, pos - line_start + 1))
+        if kind == "punct":
+            kind = value
+        elif kind == "bad":
+            raise _error(text, m.start(), f"unexpected character {value!r}")
+        elif kind == "int" and len(value) > MAX_INT_DIGITS:
+            raise _error(text, m.start(), f"integer longer than {MAX_INT_DIGITS} digits")
+        toks.append(_Tok(kind, value, m.start()))
+    toks.append(_Tok("end", "", len(text)))
     return toks
 
 
@@ -106,16 +114,16 @@ def _term_depth(term):
     return depth
 
 
-def _too_deep(tok):
-    return ParseError(f"term nested deeper than {MAX_TERM_DEPTH} levels", tok.line, tok.col)
-
-
 class _Parser:
     def __init__(self, text):
+        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
         self.open = 0  # expressions and prefix minuses the parser is inside
         self.anonymous = 0  # the `_`s met so far in the current clause
+
+    def error(self, message, tok, cls=ParseError):
+        return _error(self.text, tok.at, message, cls)
 
     def peek(self):
         return self.toks[self.pos]
@@ -125,23 +133,23 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def at_punct(self, value):
-        tok = self.peek()
-        return tok.kind == "punct" and tok.value == value
-
-    def expect_punct(self, value):
-        tok = self.next()
-        if tok.kind != "punct" or tok.value != value:
-            raise ParseError(f"expected {value!r}, found {tok.value or 'end of input'!r}",
-                             tok.line, tok.col)
-        return tok
+    def at(self, kind):
+        return self.toks[self.pos].kind == kind
 
     def expect(self, kind):
         tok = self.next()
         if tok.kind != kind:
-            raise ParseError(f"expected {kind}, found {tok.value or 'end of input'!r}",
-                             tok.line, tok.col)
+            wanted = kind if kind.isalpha() else repr(kind)
+            raise self.error(f"expected {wanted}, found {tok.value or 'end of input'!r}", tok)
         return tok
+
+    def comma_list(self, item):
+        """One or more `item()`s, separated by commas."""
+        items = [item()]
+        while self.at(","):
+            self.pos += 1
+            items.append(item())
+        return items
 
     # --- terms and expressions ---------------------------------------
 
@@ -150,15 +158,15 @@ class _Parser:
 
     def _expr(self):
         t = self.mul_expr()
-        while self.at_punct("+") or self.at_punct("-"):
+        while self.peek().kind in ("+", "-"):
             op = self.next().value
             t = Compound(op, (t, self.mul_expr()))
         return t
 
     def mul_expr(self):
         t = self.primary()
-        while self.at_punct("*"):
-            self.next()
+        while self.at("*"):
+            self.pos += 1
             t = Compound("*", (t, self.primary()))
         return t
 
@@ -169,7 +177,7 @@ class _Parser:
         The two spare levels are the literal itself and its predicate
         call."""
         if self.open > MAX_TERM_DEPTH + 1:
-            raise _too_deep(self.peek())
+            raise self.error(_TOO_DEEP, self.peek())
         self.open += 1
         try:
             return parse()
@@ -177,51 +185,35 @@ class _Parser:
             self.open -= 1
 
     def primary(self):
-        tok = self.peek()
-        if tok.kind == "int":
-            self.next()
+        tok = self.next()
+        kind = tok.kind
+        if kind == "int":
             return Int(int(tok.value))
-        if tok.kind == "punct" and tok.value == "-":
-            self.next()
-            nxt = self.peek()
-            if nxt.kind == "int":
-                self.next()
-                return Int(-int(nxt.value))
+        if kind == "-":
+            if self.at("int"):
+                return Int(-int(self.next().value))
             return Compound("-", (self.deeper(self.primary),))
-        if tok.kind == "var":
-            self.next()
+        if kind == "var":
             if tok.value == "_":
                 self.anonymous += 1
                 return Var(f"_#{self.anonymous}")
             return Var(tok.value)
-        if tok.kind == "punct" and tok.value == "(":
-            self.next()
+        if kind == "(":
             t = self.expr()
-            self.expect_punct(")")
+            self.expect(")")
             return t
-        if tok.kind == "punct" and tok.value == "[":
-            self.next()
-            elems = []
-            if not self.at_punct("]"):
-                elems.append(self.expr())
-                while self.at_punct(","):
-                    self.next()
-                    elems.append(self.expr())
-            self.expect_punct("]")
+        if kind == "[":
+            elems = [] if self.at("]") else self.comma_list(self.expr)
+            self.expect("]")
             return ListTerm(tuple(elems))
-        if tok.kind == "ident":
-            self.next()
-            if self.at_punct("("):
-                self.next()
-                args = [self.expr()]
-                while self.at_punct(","):
-                    self.next()
-                    args.append(self.expr())
-                self.expect_punct(")")
-                return Compound(tok.value, tuple(args))
-            return Symbol(tok.value)
-        raise ParseError(f"expected a term, found {tok.value or 'end of input'!r}",
-                         tok.line, tok.col)
+        if kind == "ident":
+            if not self.at("("):
+                return Symbol(tok.value)
+            self.pos += 1
+            args = self.comma_list(self.expr)
+            self.expect(")")
+            return Compound(tok.value, tuple(args))
+        raise self.error(f"expected a term, found {tok.value or 'end of input'!r}", tok)
 
     # --- literals and clauses ----------------------------------------
 
@@ -229,133 +221,111 @@ class _Parser:
         tok = self.peek()
         lit = self._literal(tok)
         if any(_term_depth(a) > MAX_TERM_DEPTH for a in lit.args):
-            raise _too_deep(tok)
+            raise self.error(_TOO_DEEP, tok)
         return lit
 
     def _literal(self, tok):
         lhs = self.expr()
         nxt = self.peek()
         if nxt.kind == "ident" and nxt.value == "is":
-            self.next()
+            self.pos += 1
             return Builtin("is", (lhs, self.expr()))
-        if nxt.kind == "punct" and nxt.value in _COMPARE_OPS:
-            self.next()
+        if nxt.kind in _COMPARE_OPS:
+            self.pos += 1
             return Builtin(nxt.value, (lhs, self.expr()))
         if isinstance(lhs, Compound):
             return Call(lhs.functor, lhs.args)
         if isinstance(lhs, Symbol):
             return Call(lhs.name, ())
-        raise ParseError("expected a predicate call or builtin", tok.line, tok.col)
+        raise self.error("expected a predicate call or builtin", tok)
 
     def clause(self):
         tok = self.peek()
         self.anonymous = 0
         head = self.literal()
         if not isinstance(head, Call):
-            raise ParseError("clause head must be a predicate call", tok.line, tok.col)
-        body = []
-        if self.at_punct(":-"):
-            self.next()
-            body.append(self.literal())
-            while self.at_punct(","):
-                self.next()
-                body.append(self.literal())
-        self.expect_punct(".")
-        return Clause(head, tuple(body))
+            raise self.error("clause head must be a predicate call", tok)
+        body = ()
+        if self.at(":-"):
+            self.pos += 1
+            body = tuple(self.comma_list(self.literal))
+        self.expect(".")
+        return Clause(head, body)
 
     # --- directives ---------------------------------------------------
 
     def directive(self):
-        self.expect_punct(":-")
+        self.expect(":-")
         kw = self.expect("ident")
         if kw.value != "table":
-            raise ParseError(f"unknown directive {kw.value!r}", kw.line, kw.col)
+            raise self.error(f"unknown directive {kw.value!r}", kw)
         name_tok = self.expect("ident")
-        if self.at_punct("/"):
-            self.next()
-            arity = int(self.expect("int").value)
-            modes = (INDEX,) * arity
+        if self.at("/"):
+            self.pos += 1
+            modes = (INDEX,) * int(self.expect("int").value)
         else:
-            self.expect_punct("(")
-            modes = self.mode_list()
-            self.expect_punct(")")
-        self.expect_punct(".")
+            self.expect("(")
+            modes = self.comma_list(self.mode_item)
+            if isinstance(modes[0], list):  # the spread form, the only mode
+                modes = modes[0]
+            self.expect(")")
+        self.expect(".")
         return name_tok, tuple(modes)
 
-    def mode_list(self):
-        first, spread = self.mode_item()
-        if spread is not None:
-            if not self.at_punct(")"):
-                tok = self.peek()
-                raise ParseError("spread lattice mode must be the only mode", tok.line, tok.col)
-            return spread
-        modes = [first]
-        while self.at_punct(","):
-            self.next()
-            item, spread = self.mode_item()
-            if spread is not None:
-                tok = self.peek()
-                raise ParseError("spread lattice mode must be the only mode", tok.line, tok.col)
-            modes.append(item)
-        return modes
-
     def mode_item(self):
-        """One mode; returns (mode, None) or (None, modes) for the spread form."""
+        """One mode, or the list of modes the spread form stands for."""
         tok = self.next()
-        if tok.kind == "punct" and tok.value == "+":
-            return INDEX, None
+        if tok.kind == "+" or tok.value == "_":
+            return INDEX
         if tok.kind == "var":
-            if tok.value == "_":
-                return INDEX, None
-            raise ParseError(f"unexpected variable {tok.value!r} in mode", tok.line, tok.col)
+            raise self.error(f"unexpected variable {tok.value!r} in mode", tok)
         if tok.kind != "ident":
-            raise ParseError(f"expected a mode, found {tok.value!r}", tok.line, tok.col)
+            raise self.error(f"expected a mode, found {tok.value!r}", tok)
         if tok.value in _REJECTED_MODES:
-            raise UnsupportedModeError(
-                f"mode {tok.value!r} depends on answer order and is not supported",
-                tok.line, tok.col)
+            raise self.error(f"mode {tok.value!r} depends on answer order and is not supported",
+                             tok, UnsupportedModeError)
         if tok.value in _SIMPLE_MODES:
-            return _SIMPLE_MODES[tok.value], None
+            return _SIMPLE_MODES[tok.value]
         if tok.value == "lattice":
-            return self.lattice_mode(tok)
+            return self.lattice_mode()
         if tok.value == "po":
-            self.expect_punct("(")
+            self.expect("(")
             name = self.relation_ref(2)
-            self.expect_punct(")")
-            return Mode("po", name), None
-        raise ParseError(f"unknown mode {tok.value!r}", tok.line, tok.col)
+            self.expect(")")
+            return Mode("po", name)
+        raise self.error(f"unknown mode {tok.value!r}", tok)
 
-    def lattice_mode(self, tok):
-        self.expect_punct("(")
+    def lattice_mode(self):
+        """lattice(Name/3), or the modes that the spread form
+        lattice(_, ..., Name/3) stands for, which must be the only mode."""
+        first = self.toks[self.pos - 2].kind == "("  # a later mode follows a `,`
+        self.expect("(")
         placeholders = 0
-        while True:
-            nxt = self.peek()
-            if nxt.kind == "var" and nxt.value == "_":
-                self.next()
-                self.expect_punct(",")
-                placeholders += 1
-                continue
-            name = self.relation_ref(3)
-            self.expect_punct(")")
-            break
-        mode = Mode("lattice", name)
-        if placeholders:
-            return None, [INDEX] * placeholders + [mode]
-        return mode, None
+        while self.peek().value == "_":
+            self.pos += 1
+            self.expect(",")
+            placeholders += 1
+        mode = Mode("lattice", self.relation_ref(3))
+        self.expect(")")
+        if not placeholders:
+            return mode
+        if not (first and self.at(")")):
+            raise self.error("spread lattice mode must be the only mode", self.peek())
+        return [INDEX] * placeholders + [mode]
 
     def relation_ref(self, arity):
         """A Name/Arity reference inside lattice(...) or po(...)."""
         tok = self.next()
-        if tok.kind == "punct" and tok.value == "+":
+        if tok.kind == "+":
             name = "plus"
         elif tok.kind == "ident":
             name = tok.value
         else:
-            raise ParseError(f"expected a relation name, found {tok.value!r}", tok.line, tok.col)
-        self.expect_punct("/")
+            raise self.error(f"expected a relation name, found {tok.value!r}", tok)
+        self.expect("/")
         got = self.expect("int")
         if int(got.value) != arity:
-            raise ArityError(f"relation {name} must have arity {arity}", got.line, got.col)
+            raise self.error(f"relation {name} must have arity {arity}", got, ArityError)
         return name
 
     # --- whole programs -----------------------------------------------
@@ -363,12 +333,11 @@ class _Parser:
     def program(self):
         clauses = []
         directives = {}
-        while self.peek().kind != "end":
-            if self.at_punct(":-"):
+        while not self.at("end"):
+            if self.at(":-"):
                 name_tok, modes = self.directive()
                 if name_tok.value in directives and directives[name_tok.value] != modes:
-                    raise ParseError(f"conflicting directives for {name_tok.value}",
-                                     name_tok.line, name_tok.col)
+                    raise self.error(f"conflicting directives for {name_tok.value}", name_tok)
                 directives[name_tok.value] = modes
                 continue
             clauses.append(self.clause())
@@ -405,14 +374,9 @@ def _extract_relations(clauses, directives):
     wanted = {}  # name -> arity
     for modes in directives.values():
         for m in modes:
-            if m.kind == "lattice":
-                if wanted.get(m.relation) == 2:
-                    raise ParseError(f"{m.relation} used as both join and order relation")
-                wanted[m.relation] = 3
-            elif m.kind == "po":
-                if wanted.get(m.relation) == 3:
-                    raise ParseError(f"{m.relation} used as both join and order relation")
-                wanted[m.relation] = 2
+            arity = _RELATION_ARITY.get(m.kind)
+            if arity and wanted.setdefault(m.relation, arity) != arity:
+                raise ParseError(f"{m.relation} used as both join and order relation")
 
     joins, orders = {}, {}
     remaining = []

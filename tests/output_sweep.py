@@ -8,7 +8,9 @@ seeds (read through `bench/workloads.generate`), the seeded DAG
 programs of `conftest.random_dag_program` for each lattice at seeds
 0-2, the edge programs below, and conftest's trace-check programs.
 Each runs under `eval` on both engines, `diff --json`, and the three
-check strategies, by calling `latlog.cli.main` in-process. The
+check strategies, by calling `latlog.cli.main` in-process. Beside them,
+`MALFORMED` seeded character-level mutations of the corpus run under
+`strata`, so that every parse error's text and position is recorded. The
 benchmark's programs run at the benchmark's fuel, the edge programs
 in `EDGE_FUEL` at theirs, and the others at fuel 200, as the goldens
 do. The JSON maps "program argv" to [exit code, stdout, stderr]; an
@@ -25,6 +27,7 @@ import contextlib
 import io
 import json
 import pathlib
+import random
 import sys
 import tempfile
 import traceback
@@ -44,6 +47,12 @@ COMMANDS = (
     ("check", "--strategy", "sampled"),
     ("check", "--strategy", "trace"),
 )
+
+# malformed programs: corpus files with one to three characters deleted,
+# inserted or replaced, drawn from MALFORMED_CHARS
+MALFORMED = 200
+MALFORMED_SEED = 23
+MALFORMED_CHARS = "()[],.:-=<>+*/_% \t\r\naX09?$!'\""
 
 # Join tables, values outside a lattice's domain, and rule errors
 # whose message could depend on the order atoms are met in.
@@ -162,6 +171,24 @@ def programs():
     return out
 
 
+def malformed_programs():
+    """{file name: program text} of the MALFORMED mutated programs."""
+    from conftest import CORPUS, CORPUS_FILES
+
+    rng = random.Random(MALFORMED_SEED)
+    out = {}
+    for i in range(MALFORMED):
+        name = rng.choice(CORPUS_FILES)
+        text = (CORPUS / name).read_text(encoding="utf-8")
+        for _ in range(rng.randint(1, 3)):
+            at, char = rng.randrange(len(text)), rng.choice(MALFORMED_CHARS)
+            text = rng.choice((text[:at] + text[at + 1:],          # delete
+                               text[:at] + char + text[at:],       # insert
+                               text[:at] + char + text[at + 1:]))  # replace
+        out[f"malformed_{i:03d}_{name}"] = text
+    return out
+
+
 def run_cli(argv):
     """(exit code, stdout, stderr) of one in-process CLI run."""
     from latlog import cli
@@ -179,13 +206,18 @@ def run_cli(argv):
 def sweep():
     results = {}
     with tempfile.TemporaryDirectory() as workdir:
-        for name, (text, fuel) in programs().items():
+        def run(name, text, commands, options):
             path = pathlib.Path(workdir, name)
             path.write_text(text, encoding="utf-8")
-            for command in COMMANDS:
-                code, out, err = run_cli([command[0], str(path), "--fuel", fuel, *command[1:]])
+            for command in commands:
+                code, out, err = run_cli([command[0], str(path), *options, *command[1:]])
                 results[f"{name} {' '.join(command)}"] = [
                     code, out.replace(workdir, "<dir>"), err.replace(workdir, "<dir>")]
+
+        for name, (text, fuel) in programs().items():
+            run(name, text, COMMANDS, ("--fuel", fuel))
+        for name, text in malformed_programs().items():
+            run(name, text, (("strata",),), ())
     return results
 
 

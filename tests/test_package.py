@@ -60,7 +60,7 @@ RECORDS = [
     (checker.UniverseResult, "complete atoms"),
     (checker.CheckReport, "verdict condition universe strategy tested witness lhs rhs reason"),
     (checker.DiffReport, "reference greedy equal per_key_diffs"),
-    (parser._Tok, "kind value line col"),
+    (parser._Tok, "kind value at"),
 ]
 
 

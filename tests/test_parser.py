@@ -8,7 +8,7 @@ from latlog.errors import (
     RangeRestrictionError,
     UnsupportedModeError,
 )
-from latlog.parser import parse_program
+from latlog.parser import MAX_TERM_DEPTH, parse_program
 from latlog.program import INDEX, Builtin, Call, Mode, Var
 from latlog.terms import MAX_INT_DIGITS, Int, Symbol
 
@@ -234,6 +234,102 @@ def test_parse_error_carries_position():
     assert exc.value.line == 3
     with pytest.raises(ParseError):
         parse_program("p(a) ?\n")
+
+
+# Every raise site of the parser, with the exact class, message and
+# position each reports: (id, program text, class, message).
+_DEEP_CALL = "p(" + "f(" * 200 + "a" + ")" * 200 + ")."
+_LONG_SUM = "p(X) :- q(Y), X is Y" + "+1" * 101 + ".\nq(1).\n"
+PARSE_ERRORS = [
+    ("char-line-start", "p(a).\n?p(b).\n", ParseError,
+     "unexpected character '?' at line 2, column 1"),
+    ("char-mid-line", "p(a) ?\n", ParseError, "unexpected character '?' at line 1, column 6"),
+    ("char-after-crlf", "p(a).\r\nq(b) ?\n", ParseError,
+     "unexpected character '?' at line 2, column 6"),
+    ("char-after-comment", "p(a). % note\n\t?", ParseError,
+     "unexpected character '?' at line 2, column 2"),
+    ("long-int", f"p(a).\nq(-{'9' * (MAX_INT_DIGITS + 1)}).", ParseError,
+     f"integer longer than {MAX_INT_DIGITS} digits at line 2, column 4"),
+    ("end-of-input", "p(a)\n% trailing\n", ParseError,
+     "expected '.', found 'end of input' at line 3, column 1"),
+    ("end-of-input-in-args", "p(a", ParseError,
+     "expected ')', found 'end of input' at line 1, column 4"),
+    ("end-of-input-in-modes", ":- table p(", ParseError,
+     "expected a mode, found '' at line 1, column 12"),
+    ("expected-punct", "p(a) :- q(a) r.\n", ParseError,
+     "expected '.', found 'r' at line 1, column 14"),
+    ("expected-ident", ":- table 1.\n", ParseError,
+     "expected ident, found '1' at line 1, column 10"),
+    ("expected-int", ":- table p/a.\n", ParseError,
+     "expected int, found 'a' at line 1, column 12"),
+    ("expected-term", "p(,).\n", ParseError, "expected a term, found ',' at line 1, column 3"),
+    ("expected-call", "p(a) :- 1.\n", ParseError,
+     "expected a predicate call or builtin at line 1, column 9"),
+    ("head-not-call", "X = 1.\n", ParseError,
+     "clause head must be a predicate call at line 1, column 1"),
+    ("deep-compound", _DEEP_CALL, ParseError,
+     f"term nested deeper than {MAX_TERM_DEPTH} levels at line 1, column 205"),
+    ("deep-minus", "p(" + "-" * 200 + "a).", ParseError,
+     f"term nested deeper than {MAX_TERM_DEPTH} levels at line 1, column 104"),
+    ("deep-list", "p(" + "[" * 200 + "]" * 200 + ").", ParseError,
+     f"term nested deeper than {MAX_TERM_DEPTH} levels at line 1, column 104"),
+    ("deep-literal", _LONG_SUM, ParseError,
+     f"term nested deeper than {MAX_TERM_DEPTH} levels at line 1, column 15"),
+    ("unknown-directive", ":- foo p/1.\n", ParseError,
+     "unknown directive 'foo' at line 1, column 4"),
+    ("spread-first", ":- table p(lattice(_, min/3), min).\n", ParseError,
+     "spread lattice mode must be the only mode at line 1, column 29"),
+    ("spread-first-no-comma", ":- table p(lattice(_, min/3) min).\n", ParseError,
+     "spread lattice mode must be the only mode at line 1, column 30"),
+    ("spread-later", ":- table p(min, lattice(_, min/3)).\n", ParseError,
+     "spread lattice mode must be the only mode at line 1, column 34"),
+    ("spread-placeholders-only", ":- table p(lattice(_, _)).\n", ParseError,
+     "expected ',', found ')' at line 1, column 24"),
+    ("variable-mode", ":- table p(X).\n", ParseError,
+     "unexpected variable 'X' in mode at line 1, column 12"),
+    ("expected-mode", ":- table p(1).\n", ParseError,
+     "expected a mode, found '1' at line 1, column 12"),
+    ("order-mode", ":- table p(first).\n", UnsupportedModeError,
+     "mode 'first' depends on answer order and is not supported at line 1, column 12"),
+    ("unknown-mode", ":- table p(foo).\n", ParseError, "unknown mode 'foo' at line 1, column 12"),
+    ("expected-relation", ":- table p(lattice(1/3)).\n", ParseError,
+     "expected a relation name, found '1' at line 1, column 20"),
+    ("lattice-arity", ":- table p(lattice(j/2)).\n", ArityError,
+     "relation j must have arity 3 at line 1, column 22"),
+    ("po-arity", ":- table p(po(o/3)).\n", ArityError,
+     "relation o must have arity 2 at line 1, column 17"),
+    ("po-unclosed", ":- table p(po(j/2).\n", ParseError,
+     "expected ')', found '.' at line 1, column 19"),
+    ("conflicting-directives", ":- table p(min).\n:- table p(max).\n", ParseError,
+     "conflicting directives for p at line 2, column 10"),
+    ("lattice-after-po", ":- table q(po(r/2)).\n:- table p(lattice(r/3)).\n", ParseError,
+     "r used as both join and order relation"),
+    ("po-after-lattice", ":- table p(lattice(r/3)).\n:- table q(po(r/2)).\n", ParseError,
+     "r used as both join and order relation"),
+    ("tabled-relation", ":- table p(lattice(j/3)).\n:- table j/3.\nj(a,a,a).\n", ParseError,
+     "relation j cannot itself be tabled"),
+    ("builtin-plus", ":- table p(lattice(plus/3)).\np(1).\n", UnsupportedModeError,
+     "builtin join plus is not idempotent and is not supported; define plus/3 by facts"),
+    ("undefined-relation", ":- table p(lattice(j/3)).\np(a).\n", ParseError,
+     "relation j/3 is not defined by facts"),
+    ("relation-rule", ":- table p(lattice(j/3)).\nj(X,Y,Y) :- k(X,Y).\nk(a,b).\n", ParseError,
+     "relation j/3 must be defined by ground facts"),
+    ("predicate-arity", "p(a).\nq(X) :- p(X, X).\n", ArityError,
+     "predicate p used with arities 1 and 2"),
+    ("unbound-head", "p(X) :- q(a).\nq(a).\n", RangeRestrictionError,
+     "unbound head variable X in: p(X) :- q(a)."),
+    ("unbound-arithmetic", "p(Y) :- Y is X + 1.\n", RangeRestrictionError,
+     "variable X unbound in arithmetic in: p(Y) :- Y is (X + 1)."),
+]
+
+
+@pytest.mark.parametrize("text, cls, message", [case[1:] for case in PARSE_ERRORS],
+                         ids=[case[0] for case in PARSE_ERRORS])
+def test_each_parse_error_keeps_its_class_message_and_position(text, cls, message):
+    with pytest.raises(ParseError) as exc:
+        parse_program(text)
+    assert type(exc.value) is cls
+    assert str(exc.value) == message
 
 
 def test_integer_tokens_are_bounded():
