@@ -1,6 +1,8 @@
 """Arithmetic and comparison builtins, compiled into tests on a clause
 plan's slot list (see `reference`), which raise what the builtin raises,
-left to right. `is` refuses a result of more than MAX_INT_DIGITS digits."""
+left to right. `is` refuses a result of more than MAX_INT_DIGITS digits.
+A fresh variable bound to `A + c` gets one fused test; every other
+expression is evaluated through `_arith`."""
 
 from __future__ import annotations
 
@@ -17,6 +19,10 @@ _BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "min": min, 
 COMPARISONS = {"<": operator.lt, "=<": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
+def _non_integer(t):
+    raise ArithmeticTypeError(f"arithmetic on non-integer {term_to_str(t)}")
+
+
 def _arith(p, slots):
     """A function of the slot list evaluating expression `p` to an int."""
     if isinstance(p, Var):
@@ -28,7 +34,7 @@ def _arith(p, slots):
             t = sl[s]
             if isinstance(t, Int):
                 return t.value
-            raise ArithmeticTypeError(f"arithmetic on non-integer {term_to_str(t)}")
+            _non_integer(t)
         return var
     if isinstance(p, Int):
         return lambda sl: p.value
@@ -49,6 +55,22 @@ def _binary(op, lhs, rhs, slots):
     return lambda sl: op(f(sl), g(sl))  # the left side first
 
 
+def _plus_constant(a, c, s, too_long):
+    """The test binding slot `s` to slot `a`'s integer plus int `c`: a
+    fresh variable's `V is A + c`, raising what `_arith` and the digit
+    bound raise."""
+    def plus(sl):
+        t = sl[a]
+        if type(t) is not Int:
+            _non_integer(t)
+        n = t[1] + c
+        if -_INT_BOUND < n < _INT_BOUND:
+            sl[s] = Int(n)
+            return True
+        raise ArithmeticTypeError(too_long)
+    return plus
+
+
 def builtin_test(lit, slots, new_slot):
     """A function of the slot list telling whether builtin `lit` holds. An
     `is` binds a left-side variable not in `slots` to a slot from `new_slot`."""
@@ -58,15 +80,22 @@ def builtin_test(lit, slots, new_slot):
         return lambda sl: left(sl) == right(sl)
     if lit.op != "is":
         return _binary(COMPARISONS[lit.op], lhs, rhs, slots)
-    f = _arith(rhs, slots)
     too_long = f"{pattern_to_str(rhs)} has more than {MAX_INT_DIGITS} digits"
+    fresh = isinstance(lhs, Var) and lhs.name not in slots
+    if (fresh and isinstance(rhs, Compound) and rhs.functor == "+" and len(rhs.args) == 2
+            and isinstance(rhs.args[0], Var) and rhs.args[0].name in slots
+            and isinstance(rhs.args[1], Int)):
+        a = slots[rhs.args[0].name]
+        s = slots[lhs.name] = new_slot()
+        return _plus_constant(a, rhs.args[1].value, s, too_long)
+    f = _arith(rhs, slots)
 
     def value(sl):
         n = f(sl)
         if abs(n) < _INT_BOUND:
             return Int(n)
         raise ArithmeticTypeError(too_long)
-    if isinstance(lhs, Var) and lhs.name not in slots:
+    if fresh:
         s = slots[lhs.name] = new_slot()
 
         def bind(sl):

@@ -18,6 +18,10 @@ rejects a term outside the lattice's domain. So the join of two values
 that abstraction accepted is always defined, and a set of atoms folds
 to the same table in any order.
 
+Joins are built once per lattice: the min and max family compares two
+integers or symbols directly, a product joins through one function over
+its parts' joins, and every join is still called through `join_values`.
+
 Kinds, each with the type of its values:
 
   min / max      a term; under the total term order, join takes the
@@ -76,6 +80,24 @@ _TRUE = frozenset((DUMMY,))
 # --- lattice kinds -----------------------------------------------------
 
 
+def _identity(v):
+    return v
+
+
+# term_key is the identity on integers and symbols (tags 0 and 1), so two
+# of them compare as they are; compounds and lists go through term_key
+def _min_join(x, y):
+    if x[0] < 2 and y[0] < 2:
+        return x if x <= y else y
+    return x if term_key(x) <= term_key(y) else y
+
+
+def _max_join(x, y):
+    if x[0] < 2 and y[0] < 2:
+        return x if x >= y else y
+    return x if term_key(x) >= term_key(y) else y
+
+
 class LatticeSpec:
     # a selective join always returns one of its operands (or an
     # already-absorbed top), so closing a set under it adds nothing
@@ -83,27 +105,19 @@ class LatticeSpec:
     # a selective lattice whose abstraction rejects some terms; the
     # reference fixpoint skips abstracting the atoms of the others
     checks_domain = False
+    abstract = represent = staticmethod(_identity)
 
     def join(self, x, y):
         raise NotImplementedError
 
-    def abstract(self, term):
-        return term
-
-    def represent(self, value):
-        return value
-
 
 class MinLattice(LatticeSpec):
     selective = True
-
-    def join(self, x, y):
-        return x if term_key(x) <= term_key(y) else y
+    join = staticmethod(_min_join)
 
 
 class MaxLattice(MinLattice):
-    def join(self, x, y):
-        return x if term_key(x) >= term_key(y) else y
+    join = staticmethod(_max_join)
 
 
 class AllLattice(LatticeSpec):
@@ -241,14 +255,26 @@ class ExtendedNatLattice(MaxLattice):
         raise DomainError(f"{term_to_str(term)} is not an extended natural")
 
 
+def _call(f, a, b):
+    return f(a, b)
+
+
 class ProductLattice(LatticeSpec):
-    """Componentwise; abstracts a tuple of output terms, one per part."""
+    """Componentwise; abstracts a tuple of output terms, one per part.
+    The join is built once from the parts' joins. When every part's
+    abstraction and representation are the identity, so are the
+    product's: the tuple of output terms is the value."""
 
     def __init__(self, parts):
         self.parts = parts
-
-    def join(self, x, y):
-        return tuple([p.join(a, b) for p, a, b in zip(self.parts, x, y)])
+        joins = tuple(p.join for p in parts)
+        if len(joins) == 2:  # the common case, unrolled: the map calls _call per part
+            j0, j1 = joins
+            self.join = lambda x, y: (j0(x[0], y[0]), j1(x[1], y[1]))
+        else:
+            self.join = lambda x, y: tuple(map(_call, joins, x, y))
+        if all(p.abstract is _identity and p.represent is _identity for p in parts):
+            self.abstract = self.represent = _identity
 
     def abstract(self, terms):
         return tuple([p.abstract(t) for p, t in zip(self.parts, terms)])

@@ -280,7 +280,7 @@ class _Parser:
         if tok.kind == "var":
             raise self.error(f"unexpected variable {tok.value!r} in mode", tok)
         if tok.kind != "ident":
-            raise self.error(f"expected a mode, found {tok.value!r}", tok)
+            raise self.error(f"expected a mode, found {tok.value or 'end of input'!r}", tok)
         if tok.value in _REJECTED_MODES:
             raise self.error(f"mode {tok.value!r} depends on answer order and is not supported",
                              tok, UnsupportedModeError)
@@ -321,7 +321,8 @@ class _Parser:
         elif tok.kind == "ident":
             name = tok.value
         else:
-            raise self.error(f"expected a relation name, found {tok.value!r}", tok)
+            raise self.error(
+                f"expected a relation name, found {tok.value or 'end of input'!r}", tok)
         self.expect("/")
         got = self.expect("int")
         if int(got.value) != arity:

@@ -54,6 +54,9 @@ MALFORMED = 200
 MALFORMED_SEED = 23
 MALFORMED_CHARS = "()[],.:-=<>+*/_% \t\r\naX09?$!'\""
 
+# the largest integer a term may hold: latlog.terms.MAX_INT_DIGITS nines
+NINES = "9" * 4000
+
 # Join tables, values outside a lattice's domain, and rule errors
 # whose message could depend on the order atoms are met in.
 EDGE_PROGRAMS = {
@@ -143,6 +146,31 @@ EDGE_PROGRAMS = {
     "all_paths_15_atoms.pl":
         ":- table p(index,index,all).\ne(n0,n1). e(n0,n2). e(n1,n2). e(n2,n3). e(n0,n3).\n"
         "p(X,Y,X) :- e(X,Y).\np(X,Y,Z) :- p(X,Z,W), e(Z,Y).\n",
+    # (min,max) products over compounds and lists, and over integers
+    # mixed with symbols, whose joins compare through term_key and
+    # directly; the reference closes each group under the product join
+    "minmax_compound_values.pl":
+        ":- table p(index,min,max).\n"
+        "v(k,f(1),f(2)). v(k,f(0,1),[a]). v(k,[1,2],g(x)). v(j,g(a),h(1,2)). v(j,[x],[f(1)]).\n"
+        "p(K,A,B) :- v(K,A,B).\n",
+    "minmax_ints_and_symbols.pl":
+        ":- table p(index,min,max).\n"
+        "v(k,3,a). v(k,b,2). v(k,-1,c). v(k,a,5). v(j,x,1). v(j,0,y). v(j,2,2).\n"
+        "p(K,A,B) :- v(K,A,B).\n",
+    # `X is Y+1`, `X is Y+Z` and `X is Y-1`, each on a non-integer operand
+    # and on a result past the digit bound
+    "is_plus_constant_non_integer.pl":
+        "p(1). p(f(a)).\nq(X) :- p(Y), X is Y+1.\n",
+    "is_plus_variable_non_integer.pl":
+        "p(1,a). p(b,c).\nq(X) :- p(Y,Z), X is Y+Z.\n",
+    "is_minus_constant_non_integer.pl":
+        "p(2). p([1]).\nq(X) :- p(Y), X is Y-1.\n",
+    "is_plus_constant_too_long.pl":
+        f"p(1). p({NINES}).\nq(X) :- p(Y), X is Y+1.\n",
+    "is_plus_variable_too_long.pl":
+        f"p(1,2). p({NINES},1).\nq(X) :- p(Y,Z), X is Y+Z.\n",
+    "is_minus_constant_too_long.pl":
+        f"p(1). p(-{NINES}).\nq(X) :- p(Y), X is Y-1.\n",
 }
 # edge programs run at a fuel of their own, not at FUEL
 EDGE_FUEL = {"cyclic_minmax.pl": "5"}

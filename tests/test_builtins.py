@@ -3,10 +3,11 @@ plan of a clause that reads its bindings from one `env` fact."""
 
 import pytest
 
-from latlog.errors import ArithmeticTypeError
+from latlog.builtins import builtin_test
+from latlog.errors import ArithmeticTypeError, LatlogError
 from latlog.program import Builtin, Call, Clause, Var
 from latlog.reference import immediate_step
-from latlog.terms import MAX_INT_DIGITS, Atom, Compound, Int, Symbol
+from latlog.terms import MAX_INT_DIGITS, Atom, Compound, Int, ListTerm, Symbol
 
 
 def b(op, lhs, rhs):
@@ -93,3 +94,65 @@ def test_arithmetic_rejects_non_integers():
         eval_builtin(b("<", Var("X"), Int(0)), {"X": Symbol("a")})
     with pytest.raises(ArithmeticTypeError):
         eval_builtin(b("is", Var("Y"), Compound("f", (Int(1), Int(2)))), {})
+
+
+# `Y is A + c` with Y fresh compiles to one fused test; `A + B`, `A - c`
+# and a bound Y take the general path. Both raise the same class and
+# message, left operand first: (expression, bindings of its variables,
+# message).
+_X1 = Compound("+", (Var("X"), Int(1)))
+_XZ = Compound("+", (Var("X"), Var("Z")))
+_XM1 = Compound("-", (Var("X"), Int(1)))
+_BIG = 10 ** MAX_INT_DIGITS - 1  # the largest integer a term may hold
+IS_ERRORS = [
+    (_X1, {"X": Symbol("a")}, "arithmetic on non-integer a"),
+    (_XM1, {"X": Compound("f", (Int(1),))}, "arithmetic on non-integer f(1)"),
+    (_XZ, {"X": Symbol("a"), "Z": Symbol("b")}, "arithmetic on non-integer a"),
+    (_XZ, {"X": Int(1), "Z": ListTerm((Int(2),))}, "arithmetic on non-integer [2]"),
+    (_XZ, {"X": Symbol("a"), "Z": Int(_BIG)}, "arithmetic on non-integer a"),
+    (_X1, {"X": Int(_BIG)}, f"(X + 1) has more than {MAX_INT_DIGITS} digits"),
+    (_XM1, {"X": Int(-_BIG)}, f"(X - 1) has more than {MAX_INT_DIGITS} digits"),
+    (_XZ, {"X": Int(_BIG), "Z": Int(_BIG)},
+     f"(X + Z) has more than {MAX_INT_DIGITS} digits"),
+]
+
+
+@pytest.mark.parametrize("expr,env,message", IS_ERRORS)
+@pytest.mark.parametrize("bound", [False, True], ids=["fresh", "bound"])
+def test_is_raises_the_same_error_with_the_left_side_fresh_or_bound(expr, env, message, bound):
+    env = {**env, "Y": Int(0)} if bound else env
+    with pytest.raises(ArithmeticTypeError) as err:
+        eval_builtin(b("is", Var("Y"), expr), env)
+    assert type(err.value) is ArithmeticTypeError
+    assert str(err.value) == message
+
+
+def test_only_a_fresh_variable_plus_a_constant_is_fused():
+    def compiled(lit, bound):
+        slots = {name: i for i, name in enumerate(bound)}
+        template = [None] * len(slots)
+
+        def new_slot():
+            template.append(None)
+            return len(template) - 1
+        return builtin_test(lit, slots, new_slot).__qualname__
+
+    assert compiled(b("is", Var("Y"), _X1), "XZ").startswith("_plus_constant.")
+    assert not compiled(b("is", Var("Y"), _X1), "XYZ").startswith("_plus_constant.")
+    general = [_XZ, _XM1, Compound("+", (Int(1), Var("X"))), Compound("*", (Var("X"), Int(2))),
+               Compound("+", (Var("X"), _X1)), Compound("+", (Var("W"), Int(1)))]
+    for expr in general:
+        assert not compiled(b("is", Var("Y"), expr), "XZ").startswith("_plus_constant.")
+
+
+def test_fused_is_computes_the_general_paths_value():
+    for x, z in [(3, 4), (-7, 2), (0, 0), (_BIG - 1, 1), (-_BIG + 1, -1)]:
+        env = {"X": Int(x), "Z": Int(z)}
+        assert eval_builtin(b("is", Var("Y"), _X1), env)["Y"] == Int(x + 1)
+        assert eval_builtin(b("is", Var("Y"), _XM1), env)["Y"] == Int(x - 1)
+        assert eval_builtin(b("is", Var("Y"), _XZ), env)["Y"] == Int(x + z)
+        assert eval_builtin(b("is", Var("Y"), _XZ), {**env, "Y": Int(x + z)}) is not None
+        assert eval_builtin(b("is", Var("Y"), _XZ), {**env, "Y": Int(x + z + 1)}) is None
+    # the variable being bound is not yet readable on the right
+    with pytest.raises(LatlogError, match="^unbound variable Y$"):
+        eval_builtin(b("is", Var("Y"), Compound("+", (Var("Y"), Int(1)))), {})

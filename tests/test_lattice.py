@@ -1,5 +1,7 @@
 """Value domains, joins, the atom/table conversions, and answer tables."""
 
+import itertools
+import pathlib
 import random
 
 import pytest
@@ -35,7 +37,18 @@ from latlog.lattice import (
     value_to_str,
 )
 from latlog.parser import parse_program
-from latlog.terms import Atom, Compound, Int, ListTerm, Symbol, atom_sorted, term_key
+from latlog.terms import (
+    Atom,
+    Compound,
+    Int,
+    ListTerm,
+    Symbol,
+    atom_sorted,
+    term_key,
+    term_to_str,
+)
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
 def sym(*names):
@@ -127,6 +140,108 @@ def test_product_join_is_componentwise():
     x = (Int(1), Int(1))
     y = (Int(2), Int(2))
     assert join_values(spec, x, y) == (Int(1), Int(2))
+
+
+def _lesser(x, y):
+    return x if term_key(x) <= term_key(y) else y
+
+
+def _greater(x, y):
+    return x if term_key(x) >= term_key(y) else y
+
+
+# the parts a compiled product join is built from: mode, the join of two
+# terms by term_key, and the message abstraction gives a term outside the
+# domain (None where every term is in it)
+_ORDERED_PARTS = {
+    "min": (_lesser, None),
+    "max": (_greater, None),
+    "lattice(min/3)": (_lesser, "builtin join min needs integers, got {}"),
+    "lattice(max/3)": (_greater, "builtin join max needs integers, got {}"),
+    "lattice(max_inf/3)": (_greater, "{} is not an extended natural"),
+}
+
+
+def _mixed_terms(rng, n):
+    """Terms of every kind, integers and symbols beside compounds, lists
+    and infty, with equal pairs among them."""
+    pool = [Int(rng.randint(-3, 3)) for _ in range(4)] + [
+        Symbol(rng.choice("ab")), INFTY, Compound("f", (Int(1),)), Compound("f", (a,)),
+        Compound("f", (Int(0), Int(1))), Compound("g", ()), ListTerm(()),
+        ListTerm((Int(2),)), ListTerm((a, Int(1))), ListTerm((Compound("f", (b,)),))]
+    return [rng.choice(pool) for _ in range(n)]
+
+
+def _in_domain(mode, t):
+    if mode in ("min", "max"):
+        return True
+    if mode == "lattice(max_inf/3)":
+        return t[0] == 0 or t == INFTY
+    return t[0] == 0
+
+
+@pytest.mark.parametrize("modes", [
+    *itertools.product(_ORDERED_PARTS, repeat=2),
+    ("min", "max", "min"), ("max", "lattice(min/3)", "lattice(max_inf/3)"),
+    ("lattice(max/3)", "min", "max"), ("lattice(max_inf/3)", "lattice(max/3)", "max"),
+])
+def test_compiled_joins_agree_with_the_term_key_join_part_by_part(modes):
+    # every join goes through join_values, and each part of a product
+    # joins as its own lattice does
+    spec = build_specs(parse_program(f":- table p(index,{','.join(modes)}).\n"))["p"].lattice
+    parts = spec.parts
+    rng = random.Random(",".join(modes))
+    for _ in range(200):
+        x, y = (tuple(_mixed_terms(rng, len(modes))) for _ in range(2))
+        want = tuple(_ORDERED_PARTS[m][0](u, v) for m, u, v in zip(modes, x, y))
+        assert join_values(spec, x, y) == want
+        for part, m, u, v in zip(parts, modes, x, y):
+            assert join_values(part, u, v) is (u if u == v else _ORDERED_PARTS[m][0](u, v))
+        # abstraction accepts exactly the in-domain tuples, and represents
+        # them back unchanged
+        if all(map(_in_domain, modes, x)):
+            assert spec.abstract(spec.represent(x)) == x
+            continue
+        m, t = next((m, t) for m, t in zip(modes, x) if not _in_domain(m, t))
+        with pytest.raises(DomainError) as err:
+            spec.abstract(x)
+        assert str(err.value) == _ORDERED_PARTS[m][1].format(term_to_str(t))
+
+
+def test_every_join_of_a_traced_reference_run_is_counted(monkeypatch):
+    # the benchmark counts lattice.join_calls by wrapping join_values; a
+    # join that went around it would not be counted
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    import latlog.reference as reference
+
+    program = parse_program(
+        ":- table p(index,index,min,max).\ne(a,b). e(b,c). e(a,c). e(c,d). e(b,d).\n"
+        "p(X,Y,1,1) :- e(X,Y).\n"
+        "p(X,Y,D,M) :- p(X,Z,D1,M1), e(Z,Y), D is D1+1, M is M1+1.\n")
+
+    def traced(run):
+        t = tracer.Tracer()
+        patches = tracer.install(t)
+        try:
+            return run(), t.counts
+        finally:
+            patches.uninstall()
+
+    outcome, counts = traced(lambda: reference.stratified_reference_semantics(program))
+    assert Atom("p", (a, d, Int(2), Int(3))) in outcome.answers
+    assert counts["lattice.join_calls"] > 0
+    assert counts["lattice.join_calls"] >= counts["reference.join_created"]
+    # the fixpoint alone joins only in the closure, where each created
+    # value comes from a join of its own; the aggregation's fold above
+    # makes at least as many joins as the closure creates values, so it
+    # cannot stand in for them here
+    fp, counts = traced(lambda: reference.stratum_lfp(
+        program.clauses, build_specs(program), 100))
+    assert fp.converged
+    assert counts["reference.join_created"] > 0
+    assert counts["lattice.join_calls"] >= counts["reference.join_created"]
 
 
 def test_join_undefined_pair_is_an_error(lub):
@@ -264,6 +379,11 @@ def test_product_abstracts_a_tuple_of_output_terms():
     assert spec.represent(v) == (Int(1), ListTerm((Int(1), Int(2))))
     with pytest.raises(DomainError):
         ProductLattice((MinLattice(), IntMinLattice())).abstract((Int(1), a))
+    # over plain min and max parts, the tuple of output terms is the value
+    spec = ProductLattice((MinLattice(), MaxLattice()))
+    terms = (Compound("f", (a,)), ListTerm((Int(1),)))
+    assert spec.abstract(terms) is terms
+    assert spec.represent(terms) is terms
 
 
 def test_abstract_represent_retraction():

@@ -255,7 +255,9 @@ PARSE_ERRORS = [
     ("end-of-input-in-args", "p(a", ParseError,
      "expected ')', found 'end of input' at line 1, column 4"),
     ("end-of-input-in-modes", ":- table p(", ParseError,
-     "expected a mode, found '' at line 1, column 12"),
+     "expected a mode, found 'end of input' at line 1, column 12"),
+    ("end-of-input-in-relation", ":- table p(lattice(", ParseError,
+     "expected a relation name, found 'end of input' at line 1, column 20"),
     ("expected-punct", "p(a) :- q(a) r.\n", ParseError,
      "expected '.', found 'r' at line 1, column 14"),
     ("expected-ident", ":- table 1.\n", ParseError,
