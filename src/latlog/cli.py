@@ -71,15 +71,23 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _int(text):
+    """`int`, failing in argparse's own words for `type=int`."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _positive_int(text):
-    n = int(text)
+    n = _int(text)
     if n < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
     return n
 
 
 def _max_atoms(text):
-    n = int(text)
+    n = _int(text)
     if not 1 <= n <= 24:
         raise argparse.ArgumentTypeError("must be in 1..24")
     return n
@@ -98,7 +106,13 @@ def _table_json(table):
 
 
 def _answer_strs(atoms):
-    return [atom_to_str(a) for a in atom_sorted(atoms)]
+    # On integers and symbols `term_key` is the identity, and a predicate
+    # has one arity, so there the atoms' own tuple order is atom order.
+    if all(t[0] < 2 for a in atoms for t in a[1]):
+        atoms = sorted(atoms)
+    else:
+        atoms = atom_sorted(atoms)
+    return [atom_to_str(a) for a in atoms]
 
 
 def _divergence_line(outcome):
@@ -126,8 +140,8 @@ def _outcome_json(outcome):
 
 
 def _emit(lines):
-    for line in lines:
-        print(line)
+    if lines:
+        print("\n".join(lines))
 
 
 # --- subcommands ------------------------------------------------------------
@@ -251,16 +265,21 @@ def _cmd_strata(args, program):
         }
         print(json.dumps(data, indent=2))
     else:
-        _emit(f"stratum {i}: " + ", ".join(sorted(s))
-              for i, s in enumerate(strat.strata))
+        _emit([f"stratum {i}: " + ", ".join(sorted(s))
+               for i, s in enumerate(strat.strata)])
     return 0
 
 
 # --- driver -----------------------------------------------------------------
 
 
+# Built once: `main` may run many times in one process, and building
+# the parser costs more than evaluating a small program.
+_ARG_PARSER = build_arg_parser()
+
+
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = _ARG_PARSER.parse_args(argv)
     try:
         try:
             with open(args.file, encoding="utf-8") as handle:

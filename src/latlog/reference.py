@@ -14,7 +14,8 @@ Rules fire through plans: `_compile` turns a clause, for one pivot
 (the call that reads the newest atoms), into closures over a list of
 variable slots. Each call reads the index bucket its bound positions
 select, binds its variables by slot and runs the builtins after it;
-the last adds the head. A fixpoint or check compiles on first use.
+the last adds the head. A fixpoint or check compiles on first use. A
+ground fact needs no plan: it adds its head atom as it stands.
 
 Divergence is an outcome, not a hang. `fuel` bounds the number of
 operator applications and also the size the interpretation may reach,
@@ -128,15 +129,15 @@ class _AtomIndex:
 
 def clause_plans(clauses):
     """Each clause with a dict for its plans by pivot, which
-    `_fire_clause` fills. Keep it while one fixpoint or check runs."""
-    return tuple((c, {}) for c in clauses)
+    `_fire_clause` fills, and its head atom if it is a ground fact,
+    which fires without a plan. Keep it while one fixpoint or check runs."""
+    return tuple((c, {}, None if c.body or any(map(pattern_vars, c.head.args))
+                  else Atom(c.head.pred, c.head.args)) for c in clauses)
 
 
 def _compile(clause, pivot):
     """A clause's plan for one pivot: run(idx, delta_idx, heads). A call binds
     its new variables by slot, and matches the rest by `term_matcher`."""
-    if not clause.body and not any(map(pattern_vars, clause.head.args)):  # a fact
-        return lambda idx, delta_idx, heads, args=clause.head.args: heads.add(args)
     slots = {}                  # variable name -> slot
     template = [None, None]     # heads, delta_idx, then constants, variables, pools
     lookups = []                # (pool slot, reads delta_idx, pred, bound positions)
@@ -223,7 +224,7 @@ def _fire_clause(plan, pivot, idx, derived, delta_idx=None):
     pivot reads `delta_idx`, the calls before it the rest of `idx`, and
     those after it all of `idx`, so pivoting each call in turn finds a
     firing that reads the delta once, at its first delta atom."""
-    clause, runs = plan
+    clause, runs, _ = plan
     run = runs.get(pivot)
     if run is None:
         run = runs[pivot] = _compile(clause, pivot)
@@ -252,7 +253,10 @@ def _fire_delta(plans, idx, derived, delta=None):
 def _fire_pivots(plans, idx, derived, delta):
     if delta is None:
         for plan in plans:
-            _fire_clause(plan, None, idx, derived)
+            if plan[2] is None:
+                _fire_clause(plan, None, idx, derived)
+            else:
+                derived.add(plan[2])
         return
     delta_idx = _AtomIndex(delta)
     for plan in plans:

@@ -10,12 +10,15 @@ programs of `conftest.random_dag_program` for each lattice at seeds
 Each runs under `eval` on both engines, `diff --json`, and the three
 check strategies, by calling `latlog.cli.main` in-process. Beside them,
 `MALFORMED` seeded character-level mutations of the corpus run under
-`strata`, so that every parse error's text and position is recorded. The
+`strata`, so that every parse error's text and position is recorded, and
+`USAGE_ERRORS` are command lines that argparse rejects. The
 benchmark's programs run at the benchmark's fuel, the edge programs
 in `EDGE_FUEL` at theirs, and the others at fuel 200, as the goldens
 do. The JSON maps "program argv" to [exit code, stdout, stderr]; an
 exception escaping `main` is recorded as exit code null and its
-one-line description.
+one-line description. A usage error records only the last line of
+stderr, the `error:` line, since the usage block above it wraps with
+the terminal's width.
 
 Sweeps taken at two commits, or at two values of PYTHONHASHSEED, show
 every output a change moved: `--compare` lists the runs that differ
@@ -53,6 +56,16 @@ COMMANDS = (
 MALFORMED = 200
 MALFORMED_SEED = 23
 MALFORMED_CHARS = "()[],.:-=<>+*/_% \t\r\naX09?$!'\""
+
+# command lines argparse rejects, over the corpus's simple.pl ("FILE")
+USAGE_ERRORS = (
+    ("eval", "FILE", "--fuel", "0"),
+    ("eval", "FILE", "--fuel", "abc"),
+    ("check", "FILE", "--samples", "0"),
+    ("check", "FILE", "--max-atoms", "25"),
+    ("frobnicate", "FILE"),
+    ("eval",),
+)
 
 # the largest integer a term may hold: latlog.terms.MAX_INT_DIGITS nines
 NINES = "9" * 4000
@@ -225,7 +238,9 @@ def run_cli(argv):
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(list(argv))
-    except (Exception, SystemExit) as exc:  # a traceback is an outcome worth recording
+    except SystemExit as exc:  # argparse rejected the command line
+        code = exc.code
+    except Exception as exc:  # a traceback is an outcome worth recording
         code = None
         err.write(traceback.format_exception_only(type(exc), exc)[-1])
     return code, out.getvalue(), err.getvalue()
@@ -246,6 +261,12 @@ def sweep():
             run(name, text, COMMANDS, ("--fuel", fuel))
         for name, text in malformed_programs().items():
             run(name, text, (("strata",),), ())
+    from conftest import CORPUS
+
+    simple = str(CORPUS / "simple.pl")
+    for argv in USAGE_ERRORS:
+        code, out, err = run_cli([simple if a == "FILE" else a for a in argv])
+        results[f"usage {' '.join(argv)}"] = [code, out, err.splitlines()[-1]]
     return results
 
 

@@ -8,13 +8,24 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import CORPUS, GOLDEN
 from golden_cases import CASES, resolved_argv
 from latlog import errors
-from latlog.cli import main
+from latlog.cli import _answer_strs, main
 from latlog.parser import MAX_TERM_DEPTH
-from latlog.terms import MAX_INT_DIGITS
+from latlog.terms import (
+    MAX_INT_DIGITS,
+    Atom,
+    Compound,
+    Int,
+    ListTerm,
+    Symbol,
+    atom_sorted,
+    atom_to_str,
+)
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -430,3 +441,75 @@ def test_usage_errors_follow_argparse(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate", corpus_path("simple.pl")])
     capsys.readouterr()  # swallow argparse usage noise
+
+
+USAGE_ERRORS = [
+    (["eval", "--fuel", "abc"], "latlog eval: error: argument --fuel: invalid int value: 'abc'"),
+    (["eval", "--fuel", "0"], "latlog eval: error: argument --fuel: must be at least 1"),
+    (["check", "--samples", "x"],
+     "latlog check: error: argument --samples: invalid int value: 'x'"),
+    (["check", "--samples", "0"], "latlog check: error: argument --samples: must be at least 1"),
+    (["check", "--max-atoms", "x"],
+     "latlog check: error: argument --max-atoms: invalid int value: 'x'"),
+    (["check", "--max-atoms", "25"], "latlog check: error: argument --max-atoms: must be in 1..24"),
+    (["check", "--seed", "x"], "latlog check: error: argument --seed: invalid int value: 'x'"),
+]
+
+
+def usage_error(capsys, argv):
+    """The exit code and the last line of stderr of a run that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert out == ""
+    return exc.value.code, err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv,line", USAGE_ERRORS, ids=[" ".join(a) for a, _ in USAGE_ERRORS])
+def test_a_bad_option_value_names_no_helper(capsys, argv, line):
+    assert usage_error(capsys, [argv[0], corpus_path("simple.pl"), *argv[1:]]) == (2, line)
+
+
+def test_repeated_calls_share_nothing_but_the_parser(capsys):
+    f = corpus_path("unsound_max.pl")
+    assert run(capsys, "check", "--strategy", "trace", "--json", f)[0] == 1
+    code, out, _ = run(capsys, "check", f)
+    assert code == 1
+    assert "strategy: exhaustive (max-atoms=16)\n" in out
+    # fuel 3 runs dry; the next call runs at the default fuel again
+    assert run(capsys, "eval", "--engine", "reference", "--fuel", "3", f)[0] == 2
+    greedy = run(capsys, "eval", f)
+    assert greedy == (0, (GOLDEN / "eval_unsound_max_greedy.txt").read_text(encoding="utf-8"), "")
+    # a usage error after a successful call, and a successful call after one
+    assert usage_error(capsys, ["eval", f, "--fuel", "0"]) == (2, USAGE_ERRORS[1][1])
+    assert run(capsys, "eval", f) == greedy
+
+
+def test_a_program_without_answers_prints_nothing(capsys, tmp_path):
+    f = write(tmp_path, "p(X) :- q(X). q(X) :- p(X).\n")
+    for engine in ("greedy", "reference"):
+        assert run(capsys, "eval", f, "--engine", engine) == (0, "", "")
+
+
+# one arity per predicate, as the parser allows
+ARITIES = {"p": 1, "q": 2, "r": 0, "s": 3}
+FLAT_TERMS = st.one_of(st.integers(-12, 12).map(Int),
+                       st.sampled_from(("a", "ab", "b", "B")).map(Symbol))
+TERMS = st.recursive(FLAT_TERMS, lambda sub: st.one_of(
+    st.builds(lambda f, args: Compound(f, tuple(args)),
+              st.sampled_from("fg"), st.lists(sub, min_size=1, max_size=3)),
+    st.lists(sub, max_size=3).map(lambda es: ListTerm(tuple(es)))), max_leaves=4)
+
+
+@st.composite
+def answer_sets(draw):
+    """Atoms over integers and symbols only, half the time; else over any terms."""
+    terms = draw(st.sampled_from((FLAT_TERMS, TERMS)))
+    atom = st.sampled_from(sorted(ARITIES)).flatmap(
+        lambda p: st.tuples(*[terms] * ARITIES[p]).map(lambda args: Atom(p, args)))
+    return draw(st.frozensets(atom, max_size=12))
+
+
+@given(answer_sets())
+def test_answers_print_in_atom_order(atoms):
+    assert _answer_strs(atoms) == [atom_to_str(a) for a in atom_sorted(atoms)]

@@ -17,6 +17,7 @@ from conftest import walk_fire_clause, walk_immediate_step
 from latlog import reference
 from latlog.errors import LatlogError
 from latlog.greedy import stratified_greedy_semantics
+from latlog.parser import parse_program
 from latlog.program import Builtin, Call, Clause, Var, pattern_vars
 from latlog.reference import (
     _AtomIndex,
@@ -161,6 +162,21 @@ def test_each_clause_compiles_once_per_pivot_and_evaluation(programs, monkeypatc
         builds.append(len(compiled))
     # nothing outlives an evaluation: the second compiles as much again
     assert builds[0] == builds[1]
+
+
+@pytest.mark.parametrize("engine", [stratified_reference_semantics,
+                                    stratified_greedy_semantics])
+def test_facts_fire_without_a_plan(monkeypatch, engine):
+    compiled = []
+    compile_ = reference._compile
+    monkeypatch.setattr(reference, "_compile",
+                        lambda clause, pivot: compiled.append(clause) or compile_(clause, pivot))
+    prog = parse_program(":- table p(index,min).\np(a,3). p(a,1). p(b,2).\nq(f(x),[1,2]). r.\n")
+    outcome = engine(prog, 200)
+    assert compiled == []
+    assert outcome.answers == {
+        Atom("p", (Symbol("a"), Int(1))), Atom("p", (Symbol("b"), Int(2))),
+        Atom("q", (Compound("f", (Symbol("x"),)), ListTerm((Int(1), Int(2))))), Atom("r", ())}
 
 
 def test_a_step_takes_clauses_or_their_plans_alike(programs):
