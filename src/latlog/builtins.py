@@ -1,106 +1,94 @@
-"""Arithmetic and comparison builtins, compiled into tests on a clause
-plan's slot list (see `reference`), which raise what the builtin raises,
-left to right. `is` refuses a result of more than MAX_INT_DIGITS digits.
-A fresh variable bound to `A + c` gets one fused test; every other
-expression is evaluated through `_arith`."""
+"""Arithmetic and comparison builtins, written as lines of a clause
+plan's generated source (see `reference._compile`). The lines read the
+plan's locals, and raise what the builtin raises, in the order it does:
+operands left to right, then the digit bound of `is`, then the left side
+of an `is` that checks. `is` refuses a result of more than
+MAX_INT_DIGITS digits. The names the lines use besides the plan's own
+are those of `NAMESPACE`."""
 
 from __future__ import annotations
 
-import operator
+from .errors import ArithmeticTypeError, LatlogError
+from .program import Var, pattern_to_str, pattern_vars
+from .terms import MAX_INT_DIGITS, Compound, Int, ListTerm, term_to_str
 
-from .errors import ArithmeticTypeError
-from .program import Compound, Var, pattern_to_str, term_builder, unbound
-from .terms import MAX_INT_DIGITS, Int, term_to_str
+_BINOPS = {"+": "({} + {})", "-": "({} - {})", "*": "({} * {})",
+           "min": "min({}, {})", "max": "max({}, {})"}
 
-_INT_BOUND = 10 ** MAX_INT_DIGITS
-
-_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "min": min, "max": max}
-
-COMPARISONS = {"<": operator.lt, "=<": operator.le, ">": operator.gt, ">=": operator.ge}
+_COMPARISONS = {"<": "<", "=<": "<=", ">": ">", ">=": ">="}
 
 
 def _non_integer(t):
     raise ArithmeticTypeError(f"arithmetic on non-integer {term_to_str(t)}")
 
 
-def _arith(p, slots):
-    """A function of the slot list evaluating expression `p` to an int."""
+NAMESPACE = {"Int": Int, "Compound": Compound, "ListTerm": ListTerm, "new": tuple.__new__,
+             "LatlogError": LatlogError, "ArithmeticTypeError": ArithmeticTypeError,
+             "non_integer": _non_integer, "BOUND": 10 ** MAX_INT_DIGITS}
+
+
+def _raise(error, message, code, out):
+    out.append(f"raise {error}({code.value(message)})")
+    return "None"
+
+
+def emit_term(p, code, out):
+    """An expression building pattern `p`. A variable that nothing binds
+    adds to `out` the line that raises its error."""
     if isinstance(p, Var):
-        s = slots.get(p.name)
-        if s is None:
-            return unbound(p.name)
+        local = code.locals.get(p.name)
+        return _raise("LatlogError", f"unbound variable {p.name}", code, out) if local is None else local
+    if not pattern_vars(p):
+        return code.value(p)
+    parts = "".join(emit_term(a, code, out) + ", " for a in p[-1])
+    if isinstance(p, Compound):
+        return f"new(Compound, (2, {code.value(p.functor)}, ({parts})))"
+    return f"new(ListTerm, (3, ({parts})))"
 
-        def var(sl):
-            t = sl[s]
-            if isinstance(t, Int):
-                return t.value
-            _non_integer(t)
-        return var
+
+def _arith(p, code, out):
+    """An int expression evaluating `p`. The lines that check its operands
+    go to `out`; a variable once checked is known to hold an `Int`."""
+    if isinstance(p, Var):
+        local = code.locals.get(p.name)
+        if local is None:
+            return _raise("LatlogError", f"unbound variable {p.name}", code, out)
+        if local not in code.ints:
+            out.append(f"if type({local}) is not Int: non_integer({local})")
+            code.ints.add(local)
+        return f"{local}[1]"
     if isinstance(p, Int):
-        return lambda sl: p.value
+        return code.value(p.value)
     if isinstance(p, Compound) and len(p.args) == 2 and p.functor in _BINOPS:
-        return _binary(_BINOPS[p.functor], *p.args, slots)
+        left = _arith(p.args[0], code, out)
+        return _BINOPS[p.functor].format(left, _arith(p.args[1], code, out))
     if isinstance(p, Compound) and len(p.args) == 1 and p.functor == "-":
-        f = _arith(p.args[0], slots)
-        return lambda sl: -f(sl)
-    message = f"not an arithmetic expression: {pattern_to_str(p)}"
-
-    def fail(sl):
-        raise ArithmeticTypeError(message)
-    return fail
+        return f"(-{_arith(p.args[0], code, out)})"
+    return _raise("ArithmeticTypeError", f"not an arithmetic expression: {pattern_to_str(p)}",
+                  code, out)
 
 
-def _binary(op, lhs, rhs, slots):
-    f, g = _arith(lhs, slots), _arith(rhs, slots)
-    return lambda sl: op(f(sl), g(sl))  # the left side first
-
-
-def _plus_constant(a, c, s, too_long):
-    """The test binding slot `s` to slot `a`'s integer plus int `c`: a
-    fresh variable's `V is A + c`, raising what `_arith` and the digit
-    bound raise."""
-    def plus(sl):
-        t = sl[a]
-        if type(t) is not Int:
-            _non_integer(t)
-        n = t[1] + c
-        if -_INT_BOUND < n < _INT_BOUND:
-            sl[s] = Int(n)
-            return True
-        raise ArithmeticTypeError(too_long)
-    return plus
-
-
-def builtin_test(lit, slots, new_slot):
-    """A function of the slot list telling whether builtin `lit` holds. An
-    `is` binds a left-side variable not in `slots` to a slot from `new_slot`."""
+def emit_builtin(lit, code, fail):
+    """The lines running builtin `lit`: they fall through when it holds
+    and run the statement `fail` when it does not. An `is` whose left
+    side is a variable no earlier literal binds binds it."""
     lhs, rhs = lit.args
+    out = []
     if lit.op == "=":
-        left, right = term_builder(lhs, slots), term_builder(rhs, slots)
-        return lambda sl: left(sl) == right(sl)
+        left = emit_term(lhs, code, out)
+        out.append(f"if {left} != {emit_term(rhs, code, out)}: {fail}")
+        return out
     if lit.op != "is":
-        return _binary(COMPARISONS[lit.op], lhs, rhs, slots)
-    too_long = f"{pattern_to_str(rhs)} has more than {MAX_INT_DIGITS} digits"
-    fresh = isinstance(lhs, Var) and lhs.name not in slots
-    if (fresh and isinstance(rhs, Compound) and rhs.functor == "+" and len(rhs.args) == 2
-            and isinstance(rhs.args[0], Var) and rhs.args[0].name in slots
-            and isinstance(rhs.args[1], Int)):
-        a = slots[rhs.args[0].name]
-        s = slots[lhs.name] = new_slot()
-        return _plus_constant(a, rhs.args[1].value, s, too_long)
-    f = _arith(rhs, slots)
-
-    def value(sl):
-        n = f(sl)
-        if abs(n) < _INT_BOUND:
-            return Int(n)
-        raise ArithmeticTypeError(too_long)
-    if fresh:
-        s = slots[lhs.name] = new_slot()
-
-        def bind(sl):
-            sl[s] = value(sl)
-            return True
-        return bind
-    left = term_builder(lhs, slots)
-    return lambda sl: value(sl) == left(sl)  # the value first, as `is` has it
+        left = _arith(lhs, code, out)
+        out.append(f"if not {left} {_COMPARISONS[lit.op]} {_arith(rhs, code, out)}: {fail}")
+        return out
+    value = _arith(rhs, code, out)
+    too_long = code.value(f"{pattern_to_str(rhs)} has more than {MAX_INT_DIGITS} digits")
+    out += [f"n = {value}", f"if not -BOUND < n < BOUND: raise ArithmeticTypeError({too_long})"]
+    if isinstance(lhs, Var) and lhs.name not in code.locals:
+        local = code.bind(lhs.name)
+        code.ints.add(local)
+        out.append(f"{local} = new(Int, (0, n))")
+    else:  # an Int is the tuple (0, n)
+        out.append(f"if {emit_term(lhs, code, out)} != (0, n): {fail}")
+    return out

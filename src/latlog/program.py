@@ -12,10 +12,7 @@ their class as well.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import partial
-from operator import itemgetter
 
-from .errors import LatlogError
 from .terms import Atom, Compound, ListTerm, term_to_str
 
 
@@ -106,49 +103,6 @@ def pattern_vars(p, acc=None):
 
 def is_ground(p):
     return not pattern_vars(p)
-
-
-def unbound(name):
-    """A compiled variable that nothing binds: it raises when used."""
-    def fail(*_):
-        raise LatlogError(f"unbound variable {name}")
-    return fail
-
-
-def term_builder(p, slots):
-    """A function of a slot list building pattern `p` from its slots."""
-    if isinstance(p, Var):
-        s = slots.get(p.name)
-        return unbound(p.name) if s is None else itemgetter(s)
-    if is_ground(p):
-        return lambda sl: p
-    parts = [term_builder(a, slots) for a in p[-1]]
-    make = partial(Compound, p.functor) if isinstance(p, Compound) else ListTerm
-    return lambda sl: make(tuple([b(sl) for b in parts]))
-
-
-def term_matcher(p, slots, new_slot):
-    """A function (ground term, slot list) -> bool matching pattern `p`.
-    A variable in `slots` must equal the term; any other is bound to a
-    slot from `new_slot`, which a failed match may leave written."""
-    if isinstance(p, Var):
-        s = slots.get(p.name)
-        if s is not None:
-            return lambda t, sl: t == sl[s]
-        s = slots[p.name] = new_slot()
-
-        def bind(t, sl):
-            sl[s] = t
-            return True
-        return bind
-    if is_ground(p):
-        return lambda t, sl: t == p
-    # a compound or a list: its last item holds the arguments, and the
-    # items before it (the tag, and a compound's functor) must be equal
-    head, n = p[:-1], len(p[-1])
-    parts = [term_matcher(a, slots, new_slot) for a in p[-1]]
-    return lambda t, sl: (t[:-1] == head and len(t[-1]) == n
-                          and all(m(a, sl) for m, a in zip(parts, t[-1])))
 
 
 def fact_clause(atom: Atom) -> Clause:

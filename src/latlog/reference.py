@@ -10,12 +10,15 @@ strata's answers as plain facts. The greedy engine and the checker's
 universe run it too, each with a fixpoint of its own; here it is the
 join-extended step's, aggregated once.
 
-Rules fire through plans: `_compile` turns a clause, for one pivot
-(the call that reads the newest atoms), into closures over a list of
-variable slots. Each call reads the index bucket its bound positions
-select, binds its variables by slot and runs the builtins after it;
-the last adds the head. A fixpoint or check compiles on first use. A
-ground fact needs no plan: it adds its head atom as it stands.
+Rules fire through plans: `_compile` writes a clause, for one pivot
+(the call that reads the newest atoms), as the source of one Python
+function, and compiles each distinct source once. Each call loops over
+the index bucket its bound positions select, its variables are Python
+locals, and the builtins after it are inline code; the last adds the
+head. A body longer than the blocks CPython can nest runs in one flat
+loop instead, so no body takes a Python frame per call. A fixpoint or
+check compiles on first use. A ground fact needs no plan: it adds its
+head atom as it stands.
 
 Divergence is an outcome, not a hang. `fuel` bounds the number of
 operator applications and also the size the interpretation may reach,
@@ -26,24 +29,15 @@ step budget.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache, partial
 from operator import itemgetter
 
-from .builtins import builtin_test
+from .builtins import NAMESPACE, emit_builtin, emit_term
 from .errors import LatlogError
-from .lattice import _picker, aggregate_atoms, build_specs, join_values, table_atoms
-from .program import (
-    Builtin,
-    Call,
-    Clause,
-    Program,
-    Var,
-    fact_clause,
-    pattern_vars,
-    term_builder,
-    term_matcher,
-)
+from .lattice import aggregate_atoms, build_specs, join_values, table_atoms
+from .program import Builtin, Call, Clause, Program, Var, fact_clause, pattern_vars
 from .stratify import stratify, stratum_clauses
-from .terms import Atom, Int, Symbol, atom_sorted
+from .terms import Atom, Compound, Int, Symbol, atom_sorted
 
 DEFAULT_FUEL = 10000
 
@@ -135,87 +129,205 @@ def clause_plans(clauses):
                   else Atom(c.head.pred, c.head.args)) for c in clauses)
 
 
+_NESTED_CALLS = 16  # CPython compiles at most 20 statically nested blocks
+
+
+class _Code:
+    """A plan's source while `_source` writes it. Its constants,
+    predicates and messages are the names `c0`, `c1`, ..., so the source
+    depends on the clause's shape alone; `values` holds what they stand
+    for. Clause variables are the locals `v0`, `v1`, ... A flat plan
+    keeps them in `C` and `V` instead, so that its frame stays small."""
+
+    __slots__ = ("values", "locals", "ints", "temps", "flat")
+
+    def __init__(self, flat):
+        self.values = []
+        self.locals = {}   # variable name -> the expression holding it
+        self.ints = set()  # the expressions known to hold an Int
+        self.temps = 0     # the locals t1, t2, ... of the call being written
+        self.flat = flat
+
+    def value(self, v):
+        self.values.append(v)
+        n = len(self.values) - 1
+        return f"C[{n}]" if self.flat else f"c{n}"
+
+    def bind(self, name):
+        n = len(self.locals)
+        local = self.locals[name] = f"V[{n}]" if self.flat else f"v{n}"
+        return local
+
+    def temp(self):
+        self.temps += 1
+        return f"t{self.temps}"
+
+
+def _match(code, p, t, out):
+    """Lines matching pattern `p` against the term in local `t`, binding
+    its new variables; a mismatch goes on to the next atom."""
+    if isinstance(p, Var) and p.name not in code.locals:
+        out.append(f"{code.bind(p.name)} = {t}")
+        return
+    if isinstance(p, Var) or not pattern_vars(p):
+        out.append(f"if {t} != {code.locals[p.name] if isinstance(p, Var) else code.value(p)}: continue")
+        return
+    # a compound or a list: its last item holds the arguments, and the
+    # items before it (the tag, and a compound's functor) must be equal
+    n = len(p[-1])
+    out.append(f"if {t}[0] != 2 or {t}[1] != {code.value(p.functor)} or len({t}[2]) != {n}: continue"
+               if isinstance(p, Compound) else f"if {t}[0] != 3 or len({t}[1]) != {n}: continue")
+    _unpack(code, p[-1], f"{t}[-1]", {}, out)
+
+
+def _unpack(code, patterns, terms, given, out):
+    """Lines unpacking the tuple `terms` against `patterns`: a new
+    variable is bound directly, a position in `given` is dropped (the
+    index has matched it), and every other is matched in turn."""
+    names, rest = [], []
+    for pos, p in enumerate(patterns):
+        if pos in given:
+            names.append("_")
+        elif isinstance(p, Var) and p.name not in code.locals:
+            names.append(code.bind(p.name))
+        else:
+            names.append(code.temp())
+            rest.append((p, names[-1]))
+    if any(name != "_" for name in names):
+        out.append(f"{', '.join(names)}, = {terms}")
+    for p, t in rest:
+        _match(code, p, t, out)
+
+
+def _call(code, atom, lit):
+    """A body call: the positions its bucket is looked up by, the key
+    that selects the bucket (None for none), whether the key is constant,
+    and the lines binding and matching the arguments of `atom`."""
+    key = {}  # bound position -> its value's expression
+    for pos, p in enumerate(lit.args):
+        if isinstance(p, Var) and p.name in code.locals:
+            key[pos] = code.locals[p.name]
+        elif isinstance(p, (Int, Symbol)):
+            key[pos] = code.value(p)
+    out = []
+    code.temps = 0  # a call's temporaries are dead once it has matched
+    _unpack(code, lit.args, f"{atom}[1]", key, out)
+    parts = list(key.values())
+    expr = None if not parts else parts[0] if len(parts) == 1 else f"({', '.join(parts)})"
+    return tuple(key), expr, all(isinstance(lit.args[pos], (Int, Symbol)) for pos in key), out
+
+
 def _compile(clause, pivot):
-    """A clause's plan for one pivot: run(idx, delta_idx, heads). A call binds
-    its new variables by slot, and matches the rest by `term_matcher`."""
-    slots = {}                  # variable name -> slot
-    template = [None, None]     # heads, delta_idx, then constants, variables, pools
-    lookups = []                # (pool slot, reads delta_idx, pred, bound positions)
+    """A clause's plan for one pivot: run(idx, delta_idx, heads), the
+    function `_source` writes for it. A body of more than
+    `_NESTED_CALLS` calls has one flat function for all pivots, which
+    takes the pivot as its argument `P`, -1 for none."""
+    run = _flat(clause)
+    if run is not None:
+        return partial(run, P=-1 if pivot is None else pivot)
+    return _build(*_source(clause, pivot))
 
-    def new_slot(value=None):
-        template.append(value)
-        return len(template) - 1
-    # `_call_step` arguments by call; a first one reads one empty atom, for leading builtins
-    calls = [[new_slot((Atom("", ()),)), None, _picker(()), 0, 0, None, False, []]]
-    for i, lit in enumerate(clause.body):
-        if isinstance(lit, Builtin):
-            calls[-1][-1].append(builtin_test(lit, slots, new_slot))
-            continue
-        key, fresh, rest, seen = [], [], [], set()
-        for pos, p in enumerate(lit.args):
-            if isinstance(p, Var) and p.name in slots:
-                key.append((pos, slots[p.name]))
-            elif isinstance(p, (Int, Symbol)):
-                key.append((pos, new_slot(p)))
-            elif isinstance(p, Var) and p.name not in seen:
-                fresh.append(pos)
-            else:  # a repeated variable, or a compound or list pattern
-                rest.append(pos)
-            seen |= pattern_vars(p)
-        lo = len(template)
-        for pos in fresh:
-            slots[lit.args[pos].name] = new_slot()
-        ms = [(pos, term_matcher(lit.args[pos], slots, new_slot)) for pos in rest]
-        match = (lambda args, sl, ms=ms: all(m(args[pos], sl) for pos, m in ms)) if ms else None
-        k = new_slot()
-        lookups.append((k, i == pivot, lit.pred, tuple(pos for pos, _ in key)))
-        calls.append([k, itemgetter(*[s for _, s in key]) if key else None, _picker(fresh), lo,
-                      lo + len(fresh), match, pivot is not None and i < pivot and lit.pred, []])
-    args = clause.head.args
-    if all(isinstance(a, Var) and a.name in slots or not pattern_vars(a) for a in args):
-        ks = [slots[a.name] if isinstance(a, Var) else new_slot(a) for a in args]
-        head = itemgetter(*ks) if len(ks) > 1 else lambda sl: tuple([sl[k] for k in ks])
-    else:  # compound patterns, or a variable no literal binds
-        builders = [term_builder(a, slots) for a in args]
 
-        def head(sl):
-            return tuple([b(sl) for b in builders])
-    nxt = None
-    for call in reversed(calls):
-        nxt = _call_step(*call, nxt, head)
+_FLAT = {}  # id(clause) -> (the clause, kept so that its id stays its own; its run)
 
-    def run(idx, delta_idx, heads):
-        sl = template.copy()
-        sl[0], sl[1] = heads, delta_idx
-        for k, from_delta, pred, positions in lookups:
-            sl[k] = (delta_idx if from_delta else idx).lookup(pred, positions)
-        nxt(sl)
+
+def _flat(clause):
+    """The run of a body of more than `_NESTED_CALLS` calls, else None.
+    It is kept for the last few such clauses, since each pivot of each
+    step asks for it, and writing it takes time linear in the body."""
+    hit = _FLAT.get(id(clause))
+    if hit is not None:
+        return hit[1]
+    if sum(isinstance(lit, Call) for lit in clause.body) <= _NESTED_CALLS:
+        return None
+    if len(_FLAT) >= 8:
+        del _FLAT[next(iter(_FLAT))]
+    run = _build(*_source(clause, None))
+    _FLAT[id(clause)] = clause, run
     return run
 
 
-def _call_step(k, key, pick, lo, hi, match, skip_delta, tests, nxt, head):
-    """One call's loop; `skip_delta` names its predicate if it precedes
-    the pivot. With no `nxt`, the call is the last and adds the head."""
-    def step(sl):
-        pool = sl[k] if key is None else sl[k].get(key(sl), ())
-        heads = sl[0]
-        skip = sl[1].by_pred.get(skip_delta) if skip_delta else None
-        for atom in pool:
-            if skip is not None and atom in skip:
-                continue
-            args = atom.args
-            sl[lo:hi] = pick(args)
-            if match is not None and not match(args, sl):
-                continue
-            for test in tests:
-                if not test(sl):
-                    break
-            else:
-                if nxt is None:
-                    heads.add(head(sl))
-                else:
-                    nxt(sl)
-    return step
+def _source(clause, pivot):
+    """The source of a module defining make(...), which returns the plan
+    of `clause` for the body position `pivot`, and the values to pass to
+    `make`.
+
+    A call skips the atoms of `delta_idx` if it comes before the pivot,
+    binds and matches its atom's arguments, and runs the builtins after
+    it; the last adds the head's arguments. Up to `_NESTED_CALLS` calls,
+    the calls are nested `for` loops over the index buckets their bound
+    positions select, looked up once per run, and the pivot is written
+    in. Past that, they are one `while` loop over the bucket iterators
+    `I[k]`, dispatched by a tree of tests on the depth `d`; entering a
+    call looks its bucket up, reading the pivot from `P`."""
+    flat = sum(isinstance(lit, Call) for lit in clause.body) > _NESTED_CALLS
+    code = _Code(flat)
+    lead, calls = [], []  # calls: [body position, predicate, positions, key, constant key, lines]
+    for i, lit in enumerate(clause.body):
+        if isinstance(lit, Builtin):
+            (calls[-1][-1] if calls else lead).extend(
+                emit_builtin(lit, code, "continue" if calls else "return"))
+        else:
+            atom = "a" if flat else f"a{len(calls)}"
+            calls.append([i, code.value(lit.pred), *_call(code, atom, lit)])
+    out = []
+    args = "".join(emit_term(a, code, out) + ", " for a in clause.head.args)
+    (calls[-1][-1] if calls else lead).extend(out + [f"add(({args}))"])
+    if flat:
+        params, body = "*C", ["V, I, S = {}, {}, {}", *_flat_body(lead, calls)]
+    else:
+        params, body = "".join(f"c{i}, " for i in range(len(code.values))), [
+            *_nested_body(lead, calls, pivot)]
+    return "\n".join([f"def make({params}):", f" def run(idx, delta_idx, heads{', P' * flat}):",
+                      "  add = heads.add", *("  " + line for line in body),
+                      " return run"]), code.values
+
+
+def _nested_body(lead, calls, pivot):
+    top, loops = [], []
+    for k, (i, pred, positions, key, constant, lines) in enumerate(calls):
+        get = f".get({key}, ())" if key else ""
+        top.append(f"b{k} = {'delta_idx' if i == pivot else 'idx'}.lookup({pred}, {positions})"
+                   + (get if constant else ""))
+        indent = " " * k
+        loops.append(f"{indent}for a{k} in b{k}{'' if constant else get}:")
+        if pivot is not None and i < pivot:
+            top.append(f"s{k} = delta_idx.by_pred.get({pred}, ())")
+            loops.append(f"{indent} if a{k} in s{k}: continue")
+        loops += [f"{indent} {line}" for line in lines]
+    return top + lead + loops
+
+
+def _flat_body(lead, calls):
+    def enter(k):
+        i, pred, positions, key = calls[k][:4]
+        get = f".get({key}, ())" if key else ""
+        return [f"I[{k}] = iter((delta_idx if P == {i} else idx).lookup({pred}, {positions}){get})",
+                f"S[{k}] = delta_idx.by_pred.get({pred}, ()) if {i} < P else ()", f"d = {k}"]
+
+    def dispatch(lo, hi, indent):
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            return [f"{indent}if d < {mid}:", *dispatch(lo, mid, indent + " "),
+                    f"{indent}else:", *dispatch(mid, hi, indent + " ")]
+        lines = [f"if a in S[{lo}]: continue", *calls[lo][-1]]
+        if lo + 1 < len(calls):
+            lines += enter(lo + 1) + ["break"]
+        return [f"{indent}for a in I[{lo}]:", *(f"{indent} {line}" for line in lines),
+                f"{indent}else:", f"{indent} d = {lo - 1}"]
+    return [*lead, *enter(0), "while d >= 0:", *dispatch(0, len(calls), " ")]
+
+
+@lru_cache(maxsize=128)
+def _maker(source):
+    """The function `make` that `source` defines, compiled once per source."""
+    namespace = dict(NAMESPACE)
+    exec(compile(source, "<plan>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _build(source, values):
+    return _maker(source)(*values)
 
 
 def _fire_clause(plan, pivot, idx, derived, delta_idx=None):

@@ -184,6 +184,20 @@ EDGE_PROGRAMS = {
         f"p(1,2). p({NINES},1).\nq(X) :- p(Y,Z), X is Y+Z.\n",
     "is_minus_constant_too_long.pl":
         f"p(1). p(-{NINES}).\nq(X) :- p(Y), X is Y-1.\n",
+    # bodies past the 16 calls a plan nests, which run in its flat loop:
+    # a 20-call cycle walk under min, the same walk ending in arithmetic
+    # on a non-integer, and chains of 1 000 and 5 000 calls, which
+    # overflowed Python's stack when each call took a frame of its own
+    "long_body_20_calls.pl":
+        ":- table p(index,min).\ne(1,2). e(2,3). e(3,1). e(3,4).\np(X0,N) :- "
+        + ", ".join(f"e(X{i},X{i + 1})" for i in range(20)) + ", N is X0 * 100 + X20, N > 110.\n",
+    "long_body_20_calls_arithmetic_error.pl":
+        "e(1,2). e(2,3). e(3,1). e(3,a).\np(Y) :- "
+        + ", ".join(f"e(X{i},X{i + 1})" for i in range(20)) + ", Y is X20 + 1.\n",
+    "long_body_1000_calls.pl":
+        "q(a,a).\np(X0) :- " + ", ".join(f"q(X{i},X{i + 1})" for i in range(1000)) + ".\n",
+    "long_body_5000_calls.pl":
+        "q(a,a).\np(X0) :- " + ", ".join(f"q(X{i},X{i + 1})" for i in range(5000)) + ".\n",
 }
 # edge programs run at a fuel of their own, not at FUEL
 EDGE_FUEL = {"cyclic_minmax.pl": "5"}

@@ -270,6 +270,23 @@ def test_deep_nesting_exits_without_a_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def _chain(calls):
+    """A clause of `calls` body calls over one fact, each call binding the
+    variable the next one reads."""
+    return "q(a,a).\np(X0) :- " + ", ".join(f"q(X{i},X{i + 1})" for i in range(calls)) + ".\n"
+
+
+@pytest.mark.parametrize("calls", [1000, 5000])
+def test_a_long_body_evaluates_and_checks(calls, capsys, tmp_path):
+    # one Python frame per body call overflowed the stack at about 1 000
+    f = write(tmp_path, _chain(calls))
+    for engine in ("reference", "greedy"):
+        assert run(capsys, "eval", f, "--engine", engine) == (0, "p(a)\nq(a,a)\n", "")
+    code, out, err = run(capsys, "check", f)
+    assert (code, err) == (0, "")
+    assert out.endswith("universe: 2 atoms, complete\nverdict: no-violation-found\ntested: 4\n")
+
+
 def test_a_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
     f = tmp_path / "prog.pl"
     f.write_bytes(b"p(1).\n% caf\xe9\n")

@@ -1,13 +1,22 @@
-"""Compiled clause plans, held to the dict-binding walk they replaced.
+"""Generated clause plans, held to the dict-binding walk they replaced.
 
 The walk lives in `conftest.py` (`walk_fire_clause`). Hypothesis draws
-range-restricted clauses, as the parser accepts them: constants,
-repeated variables, compound and list patterns in calls and heads, `=`,
-the four comparisons, and `is` that binds, checks or has a left side
-that is not a variable, over operands that are not always integers, so
-that builtins raise. A plan must derive the same atoms as the walk for
-every pivot, or raise the same error.
+clauses with every shape the generator writes: constants, repeated
+variables, compound and list patterns in calls and heads, leading
+builtins, `=`, the four comparisons, and `is` over nested `+ - * min
+max` and unary `-` that binds, checks or has a left side that is not a
+variable, over operands that are not always integers, so that builtins
+raise. Now and then a variable is one that nothing binds, in a builtin
+or the head, and a body runs past the calls that nest, into the flat
+loop. A plan must derive the same atoms as the walk for every pivot, or
+raise the same error.
 """
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -69,6 +78,8 @@ def _expression(draw, bound, depth=2):
 
 
 def _builtin(draw, bound):
+    if bound and not draw(st.integers(0, 19)):
+        bound = VARS  # one that nothing binds may raise
     op = draw(st.sampled_from(("=", "<", "=<", ">", ">=", "is", "is", "is")))
     if op == "=":
         return Builtin(op, (_pattern(draw, bound), _pattern(draw, bound)))
@@ -87,22 +98,37 @@ def _builtin(draw, bound):
     return Builtin("is", (lhs, rhs))
 
 
+def _literal(draw, bound, names):
+    """A call over the variables `names`, or else a builtin."""
+    if draw(st.integers(0, 2) if bound else st.integers(0, 5)):
+        pred = draw(st.sampled_from(sorted(PREDS)))
+        return Call(pred, tuple(_pattern(draw, names) for _ in range(PREDS[pred])))
+    return _builtin(draw, bound)
+
+
 @st.composite
 def clauses(draw):
-    """A range-restricted clause over `e/2` and `q/1`."""
+    """A clause over `e/2` and `q/1`. One in ten runs on past
+    `_NESTED_CALLS` calls, whose arguments are bound or constant, so that
+    each matches at most one atom and the walk stays short."""
     bound, body = [], []
-    for _ in range(draw(st.integers(0, 4))):
-        if draw(st.integers(0, 2) if bound else st.integers(0, 5)):
-            pred = draw(st.sampled_from(sorted(PREDS)))
-            lit = Call(pred, tuple(_pattern(draw, VARS) for _ in range(PREDS[pred])))
+    long = draw(st.integers(0, 9)) == 9
+    calls = reference._NESTED_CALLS + draw(st.integers(1, 4)) if long else 0
+    free = draw(st.integers(0, 2 if long else 4))
+    while len(body) < free or sum(isinstance(lit, Call) for lit in body) < calls:
+        lit = _literal(draw, bound, VARS if len(body) < free else bound)
+        if isinstance(lit, Call):
             names = set().union(*map(pattern_vars, lit.args))
         else:
-            lit = _builtin(draw, bound)
             names = {lit.args[0].name} if lit.op == "is" and isinstance(lit.args[0], Var) else ()
         body.append(lit)
         bound += sorted(set(names) - set(bound))
-    head = tuple(_pattern(draw, bound) for _ in range(draw(st.integers(0, 3))))
+    names = bound if draw(st.integers(0, 9)) else VARS  # maybe a head variable nothing binds
+    head = tuple(_pattern(draw, names) for _ in range(draw(st.integers(0, 3))))
     return Clause(Call("h", head), tuple(body))
+
+
+POOLS = st.lists(atoms, min_size=4, max_size=24, unique=True)
 
 
 def _outcome(fire):
@@ -115,8 +141,7 @@ def _outcome(fire):
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(clause=clauses(), pool=st.lists(atoms, min_size=4, max_size=24, unique=True),
-       data=st.data())
+@given(clause=clauses(), pool=POOLS, data=st.data())
 def test_a_plan_fires_like_the_walk_pivot_by_pivot(clause, pool, data):
     delta = data.draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
     pivots = [None] + [j for j, lit in enumerate(clause.body)
@@ -188,3 +213,80 @@ def test_a_step_takes_clauses_or_their_plans_alike(programs):
         answers = stratified_reference_semantics(prog, 200).answers
         for atoms in (frozenset(), answers):
             assert immediate_step(prog.clauses, atoms) == immediate_step(plans, atoms), name
+
+
+# the property again, in a fresh process at each of two hash seeds
+PROPERTY_AT_SEED = """
+import test_plans
+from hypothesis import HealthCheck, given, settings, strategies as st
+settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])(
+    given(clause=test_plans.clauses(), pool=test_plans.POOLS, data=st.data())(
+        test_plans.test_a_plan_fires_like_the_walk_pivot_by_pivot.hypothesis.inner_test))()
+"""
+
+
+def _at_hash_seed(seed, script):
+    here = pathlib.Path(__file__).parent
+    path = os.pathsep.join([str(here), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-c", script], check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}).stdout
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_a_plan_fires_like_the_walk_at_two_hash_seeds(seed):
+    _at_hash_seed(seed, PROPERTY_AT_SEED)
+
+
+# --- the code cache --------------------------------------------------------------
+
+
+def _plan_code(program, pivot=None):
+    clause = next(c for c in program.clauses if c.body)
+    return reference._compile(clause, pivot).__code__
+
+
+def test_one_shape_shares_one_code_object_across_constants():
+    first = parse_program("e(1,a). e(2,b).\np(X) :- e(X,a), X < 5.\n")
+    second = parse_program("e(1,a). e(2,b).\np(X) :- e(X,b), X < 9.\n")
+    assert _plan_code(first) is _plan_code(second)
+    for engine in (stratified_reference_semantics, stratified_greedy_semantics):
+        assert Atom("p", (Int(1),)) in engine(first, 200).answers - engine(second, 200).answers
+        assert Atom("p", (Int(2),)) in engine(second, 200).answers - engine(first, 200).answers
+
+
+SOURCES = """
+import json
+from conftest import CORPUS, CORPUS_FILES
+from latlog.parser import parse_program
+from latlog.program import Call
+from latlog.reference import _source
+long = parse_program("q(a,a).\\np(X0) :- " + ", ".join(
+    f"q(X{i},f(X{i + 1},[X{i}])), X{i} < 3, Y{i} is X{i} * 2 + 1" for i in range(20)) + ".\\n")
+out = {}
+for name in CORPUS_FILES + ["long"]:
+    program = long if name == "long" else parse_program((CORPUS / name).read_text())
+    for n, clause in enumerate(program.clauses):
+        for pivot in [None] + [j for j, lit in enumerate(clause.body) if isinstance(lit, Call)]:
+            source, values = _source(clause, pivot)
+            out[f"{name} {n} {pivot}"] = [source, repr(values)]
+print(json.dumps(out))
+"""
+
+
+def test_the_generated_source_does_not_depend_on_the_hash_seed():
+    sources = [_at_hash_seed(seed, SOURCES) for seed in ("0", "1")]
+    assert sources[0] == sources[1]
+    assert len(json.loads(sources[0])) > 50
+
+
+def test_the_code_caches_are_bounded():
+    bound = reference._maker.cache_info().maxsize
+    assert bound == 128
+    for arity in range(bound + 8):  # a head of each arity is a shape of its own
+        reference._compile(Clause(Call("h", (Var("X"),) * arity), (Call("q", (Var("X"),)),)), None)
+    assert reference._maker.cache_info().currsize == bound
+    body = tuple(Call("q", (Var("X"),)) for _ in range(reference._NESTED_CALLS + 1))
+    for n in range(12):
+        reference._compile(Clause(Call("h", (Int(n),)), body), None)
+    assert len(reference._FLAT) == 8
