@@ -33,17 +33,20 @@ def _raise(error, message, code, out):
 
 
 def emit_term(p, code, out):
-    """An expression building pattern `p`. A variable that nothing binds
-    adds to `out` the line that raises its error."""
+    """An expression building pattern `p`. A compound or list holding a
+    variable is built into a temporary by a line added to `out`, inner
+    terms first, so that no line nests more than one term deep. A
+    variable that nothing binds adds the line that raises its error."""
     if isinstance(p, Var):
         local = code.locals.get(p.name)
         return _raise("LatlogError", f"unbound variable {p.name}", code, out) if local is None else local
     if not pattern_vars(p):
         return code.value(p)
     parts = "".join(emit_term(a, code, out) + ", " for a in p[-1])
-    if isinstance(p, Compound):
-        return f"new(Compound, (2, {code.value(p.functor)}, ({parts})))"
-    return f"new(ListTerm, (3, ({parts})))"
+    t = code.temp()
+    out.append(f"{t} = new(Compound, (2, {code.value(p.functor)}, ({parts})))"
+               if isinstance(p, Compound) else f"{t} = new(ListTerm, (3, ({parts})))")
+    return t
 
 
 def _arith(p, code, out):

@@ -29,7 +29,7 @@ step budget.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import partial
 from operator import itemgetter
 
 from .builtins import NAMESPACE, emit_builtin, emit_term
@@ -136,26 +136,22 @@ class _Code:
     """A plan's source while `_source` writes it. Its constants,
     predicates and messages are the names `c0`, `c1`, ..., so the source
     depends on the clause's shape alone; `values` holds what they stand
-    for. Clause variables are the locals `v0`, `v1`, ... A flat plan
-    keeps them in `C` and `V` instead, so that its frame stays small."""
+    for. Clause variables are the locals `v0`, `v1`, ..."""
 
-    __slots__ = ("values", "locals", "ints", "temps", "flat")
+    __slots__ = ("values", "locals", "ints", "temps")
 
-    def __init__(self, flat):
+    def __init__(self):
         self.values = []
-        self.locals = {}   # variable name -> the expression holding it
-        self.ints = set()  # the expressions known to hold an Int
+        self.locals = {}   # variable name -> the local holding it
+        self.ints = set()  # the locals known to hold an Int
         self.temps = 0     # the locals t1, t2, ... of the call being written
-        self.flat = flat
 
     def value(self, v):
         self.values.append(v)
-        n = len(self.values) - 1
-        return f"C[{n}]" if self.flat else f"c{n}"
+        return f"c{len(self.values) - 1}"
 
     def bind(self, name):
-        n = len(self.locals)
-        local = self.locals[name] = f"V[{n}]" if self.flat else f"v{n}"
+        local = self.locals[name] = f"v{len(self.locals)}"
         return local
 
     def temp(self):
@@ -221,30 +217,17 @@ def _compile(clause, pivot):
     """A clause's plan for one pivot: run(idx, delta_idx, heads), the
     function `_source` writes for it. A body of more than
     `_NESTED_CALLS` calls has one flat function for all pivots, which
-    takes the pivot as its argument `P`, -1 for none."""
-    run = _flat(clause)
-    if run is not None:
+    takes the pivot as its argument `P`, -1 for none; the plan binds
+    it."""
+    source, values = _source(clause, pivot)
+    run = _maker(source)(*values)
+    if _is_flat(clause):
         return partial(run, P=-1 if pivot is None else pivot)
-    return _build(*_source(clause, pivot))
-
-
-_FLAT = {}  # id(clause) -> (the clause, kept so that its id stays its own; its run)
-
-
-def _flat(clause):
-    """The run of a body of more than `_NESTED_CALLS` calls, else None.
-    It is kept for the last few such clauses, since each pivot of each
-    step asks for it, and writing it takes time linear in the body."""
-    hit = _FLAT.get(id(clause))
-    if hit is not None:
-        return hit[1]
-    if sum(isinstance(lit, Call) for lit in clause.body) <= _NESTED_CALLS:
-        return None
-    if len(_FLAT) >= 8:
-        del _FLAT[next(iter(_FLAT))]
-    run = _build(*_source(clause, None))
-    _FLAT[id(clause)] = clause, run
     return run
+
+
+def _is_flat(clause):
+    return sum(isinstance(lit, Call) for lit in clause.body) > _NESTED_CALLS
 
 
 def _source(clause, pivot):
@@ -258,10 +241,10 @@ def _source(clause, pivot):
     the calls are nested `for` loops over the index buckets their bound
     positions select, looked up once per run, and the pivot is written
     in. Past that, they are one `while` loop over the bucket iterators
-    `I[k]`, dispatched by a tree of tests on the depth `d`; entering a
-    call looks its bucket up, reading the pivot from `P`."""
-    flat = sum(isinstance(lit, Call) for lit in clause.body) > _NESTED_CALLS
-    code = _Code(flat)
+    `i0`, `i1`, ..., dispatched by a tree of tests on the depth `d`;
+    entering a call looks its bucket up, reading the pivot from `P`."""
+    flat = _is_flat(clause)
+    code = _Code()
     lead, calls = [], []  # calls: [body position, predicate, positions, key, constant key, lines]
     for i, lit in enumerate(clause.body):
         if isinstance(lit, Builtin):
@@ -273,11 +256,8 @@ def _source(clause, pivot):
     out = []
     args = "".join(emit_term(a, code, out) + ", " for a in clause.head.args)
     (calls[-1][-1] if calls else lead).extend(out + [f"add(({args}))"])
-    if flat:
-        params, body = "*C", ["V, I, S = {}, {}, {}", *_flat_body(lead, calls)]
-    else:
-        params, body = "".join(f"c{i}, " for i in range(len(code.values))), [
-            *_nested_body(lead, calls, pivot)]
+    body = _flat_body(lead, calls) if flat else _nested_body(lead, calls, pivot)
+    params = "".join(f"c{i}, " for i in range(len(code.values)))
     return "\n".join([f"def make({params}):", f" def run(idx, delta_idx, heads{', P' * flat}):",
                       "  add = heads.add", *("  " + line for line in body),
                       " return run"]), code.values
@@ -302,32 +282,37 @@ def _flat_body(lead, calls):
     def enter(k):
         i, pred, positions, key = calls[k][:4]
         get = f".get({key}, ())" if key else ""
-        return [f"I[{k}] = iter((delta_idx if P == {i} else idx).lookup({pred}, {positions}){get})",
-                f"S[{k}] = delta_idx.by_pred.get({pred}, ()) if {i} < P else ()", f"d = {k}"]
+        return [f"i{k} = iter((delta_idx if P == {i} else idx).lookup({pred}, {positions}){get})",
+                f"s{k} = delta_idx.by_pred.get({pred}, ()) if {i} < P else ()", f"d = {k}"]
 
     def dispatch(lo, hi, indent):
         if hi - lo > 1:
             mid = (lo + hi) // 2
             return [f"{indent}if d < {mid}:", *dispatch(lo, mid, indent + " "),
                     f"{indent}else:", *dispatch(mid, hi, indent + " ")]
-        lines = [f"if a in S[{lo}]: continue", *calls[lo][-1]]
+        lines = [f"if a in s{lo}: continue", *calls[lo][-1]]
         if lo + 1 < len(calls):
             lines += enter(lo + 1) + ["break"]
-        return [f"{indent}for a in I[{lo}]:", *(f"{indent} {line}" for line in lines),
+        return [f"{indent}for a in i{lo}:", *(f"{indent} {line}" for line in lines),
                 f"{indent}else:", f"{indent} d = {lo - 1}"]
     return [*lead, *enter(0), "while d >= 0:", *dispatch(0, len(calls), " ")]
 
 
-@lru_cache(maxsize=128)
+_MAKERS = {}  # a plan's source -> its `make`, for the last 128 sources used
+
+
 def _maker(source):
-    """The function `make` that `source` defines, compiled once per source."""
-    namespace = dict(NAMESPACE)
-    exec(compile(source, "<plan>", "exec"), namespace)
-    return namespace["make"]
-
-
-def _build(source, values):
-    return _maker(source)(*values)
+    """The function `make` that `source` defines, compiled once per
+    source while it is among the last 128 used."""
+    make = _MAKERS.pop(source, None)
+    if make is None:
+        namespace = dict(NAMESPACE)
+        exec(compile(source, "<plan>", "exec"), namespace)
+        make = namespace["make"]
+        if len(_MAKERS) >= 128:
+            del _MAKERS[next(iter(_MAKERS))]
+    _MAKERS[source] = make
+    return make
 
 
 def _fire_clause(plan, pivot, idx, derived, delta_idx=None):
@@ -340,6 +325,10 @@ def _fire_clause(plan, pivot, idx, derived, delta_idx=None):
     run = runs.get(pivot)
     if run is None:
         run = runs[pivot] = _compile(clause, pivot)
+        if isinstance(run, partial):  # a long body's one flat run serves every pivot
+            runs.update((j, partial(run.func, P=j)) for j, lit in enumerate(clause.body)
+                        if isinstance(lit, Call))
+            runs[None] = partial(run.func, P=-1)
     heads = set()  # argument tuples; many firings derive the same head
     run(idx, delta_idx, heads)
     derived.update([Atom(clause.head.pred, args) for args in heads])

@@ -198,6 +198,12 @@ EDGE_PROGRAMS = {
         "q(a,a).\np(X0) :- " + ", ".join(f"q(X{i},X{i + 1})" for i in range(1000)) + ".\n",
     "long_body_5000_calls.pl":
         "q(a,a).\np(X0) :- " + ", ".join(f"q(X{i},X{i + 1})" for i in range(5000)) + ".\n",
+    # rules that build or test a term at the parser's nesting bound
+    # around a variable, so that their plans build it at run time
+    "deep_head_term.pl": "q(a).\np(" + "[" * 100 + "X" + "]" * 100 + ") :- q(X).\n",
+    "deep_equality_term.pl":
+        "q(a).\nr(" + "f(" * 100 + "a" + ")" * 100 + ").\np(Y) :- q(X), r(Y), Y = "
+        + "f(" * 100 + "X" + ")" * 100 + ".\n",
 }
 # edge programs run at a fuel of their own, not at FUEL
 EDGE_FUEL = {"cyclic_minmax.pl": "5"}

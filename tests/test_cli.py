@@ -252,6 +252,35 @@ def test_term_at_the_nesting_bound_runs_everywhere(capsys, tmp_path):
         assert (code, err) == (0, ""), argv
 
 
+def _nested(depth, leaf):
+    return "[" * depth + leaf + "]" * depth
+
+
+# a rule builds or tests a term at the nesting bound whose innermost
+# argument is a variable, so its plan cannot take the term as a constant
+DEEP_RULES = {
+    "head": "q(a).\np(" + _nested(MAX_TERM_DEPTH, "X") + ") :- q(X).\n",
+    "equality": "q(a).\nr(" + _nested(MAX_TERM_DEPTH, "a") + ").\n"
+                "p(Y) :- q(X), r(Y), Y = " + _nested(MAX_TERM_DEPTH, "X") + ".\n",
+    "arithmetic": "q(1).\np(Y) :- q(X), Y is X" + " + 1" * (MAX_TERM_DEPTH - 1) + ".\n",
+}
+
+
+@pytest.mark.parametrize("where", DEEP_RULES)
+def test_a_rule_at_the_nesting_bound_evaluates_and_checks(where, capsys, tmp_path):
+    f = write(tmp_path, DEEP_RULES[where])
+    answer = {"head": "p(" + _nested(MAX_TERM_DEPTH, "a") + ")",
+              "equality": "p(" + _nested(MAX_TERM_DEPTH, "a") + ")",
+              "arithmetic": f"p({MAX_TERM_DEPTH})"}[where]
+    for engine in ("reference", "greedy"):
+        code, out, err = run(capsys, "eval", f, "--engine", engine)
+        assert (code, err) == (0, ""), engine
+        assert answer in out.splitlines(), engine
+    code, out, err = run(capsys, "check", f)
+    assert (code, err) == (0, "")
+    assert "verdict: no-violation-found" in out
+
+
 @pytest.mark.parametrize("depth", [MAX_TERM_DEPTH + 1, 3000])
 def test_term_nested_too_deep_is_a_parse_error(depth, capsys, tmp_path):
     f = write(tmp_path, _nested_fact(depth))

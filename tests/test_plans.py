@@ -2,11 +2,11 @@
 
 The walk lives in `conftest.py` (`walk_fire_clause`). Hypothesis draws
 clauses with every shape the generator writes: constants, repeated
-variables, compound and list patterns in calls and heads, leading
-builtins, `=`, the four comparisons, and `is` over nested `+ - * min
-max` and unary `-` that binds, checks or has a left side that is not a
-variable, over operands that are not always integers, so that builtins
-raise. Now and then a variable is one that nothing binds, in a builtin
+variables, compound and list patterns, nested too, in calls and heads,
+leading builtins, `=`, the four comparisons, and `is` over nested `+ -
+* min max` and unary `-` that binds, checks or has a left side that is
+not a variable, over operands that are not always integers, so that
+builtins raise. Now and then a variable is one that nothing binds, in a builtin
 or the head, and a body runs past the calls that nest, into the flat
 loop. A plan must derive the same atoms as the walk for every pivot, or
 raise the same error.
@@ -42,7 +42,8 @@ VARS = ("X", "Y", "Z", "W")
 # pattern below but not its arity or length
 TERMS = (Int(0), Int(1), Int(2), Symbol("a"), Compound("f", (Int(1),)),
          Compound("g", (Int(1), Symbol("a"))), ListTerm((Int(1), Int(2))),
-         ListTerm((Int(2), Int(2))), Compound("f", (Int(1), Int(2))), ListTerm((Int(1),)))
+         ListTerm((Int(2), Int(2))), Compound("f", (Int(1), Int(2))), ListTerm((Int(1),)),
+         Compound("f", (ListTerm((Int(1), Int(2))),)))
 PREDS = {"e": 2, "q": 1}
 
 atoms = st.one_of(
@@ -52,13 +53,15 @@ atoms = st.one_of(
 
 def _pattern(draw, names):
     """A call or head argument over the variables `names`: mostly one of
-    them, else a constant, or a compound or list pattern."""
-    kind = draw(st.integers(0, 9)) if names else 0
+    them, else a constant, or a compound or list pattern, one or two
+    levels deep."""
+    kind = draw(st.integers(0, 10)) if names else 0
     if kind == 0:
         return draw(st.sampled_from(TERMS))
     v, w = (Var(draw(st.sampled_from(names))) for _ in range(2))
     return ((Compound("f", (v,)), Compound("g", (v, w)), ListTerm((v, w)),
-             ListTerm((Int(1), v)))[kind - 6] if kind > 5 else v)
+             ListTerm((Int(1), v)), Compound("f", (ListTerm((v, w)),)))[kind - 6]
+            if kind > 5 else v)
 
 
 def _expression(draw, bound, depth=2):
@@ -228,9 +231,11 @@ settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too
 def _at_hash_seed(seed, script):
     here = pathlib.Path(__file__).parent
     path = os.pathsep.join([str(here), os.environ.get("PYTHONPATH", "")])
-    return subprocess.run(
-        [sys.executable, "-c", script], check=True, capture_output=True, text=True,
-        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}).stdout
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr  # with any falsifying example
+    return proc.stdout
 
 
 @pytest.mark.parametrize("seed", ["0", "1"])
@@ -280,13 +285,28 @@ def test_the_generated_source_does_not_depend_on_the_hash_seed():
     assert len(json.loads(sources[0])) > 50
 
 
-def test_the_code_caches_are_bounded():
-    bound = reference._maker.cache_info().maxsize
-    assert bound == 128
-    for arity in range(bound + 8):  # a head of each arity is a shape of its own
-        reference._compile(Clause(Call("h", (Var("X"),) * arity), (Call("q", (Var("X"),)),)), None)
-    assert reference._maker.cache_info().currsize == bound
-    body = tuple(Call("q", (Var("X"),)) for _ in range(reference._NESTED_CALLS + 1))
-    for n in range(12):
-        reference._compile(Clause(Call("h", (Int(n),)), body), None)
-    assert len(reference._FLAT) == 8
+def test_the_code_cache_is_bounded():
+    def clause(arity):  # a head of each arity is a shape of its own
+        return Clause(Call("h", (Var("X"),) * arity), (Call("q", (Var("X"),)),))
+
+    for arity in range(136):
+        reference._compile(clause(arity), None)
+    assert len(reference._MAKERS) == 128
+    # the least recently used go first
+    assert reference._source(clause(8), None)[0] in reference._MAKERS
+    assert reference._source(clause(7), None)[0] not in reference._MAKERS
+
+
+def test_a_long_body_compiles_once_per_evaluation(monkeypatch):
+    # its one flat run serves every pivot of every step
+    compiled = []
+    compile_ = reference._compile
+    monkeypatch.setattr(reference, "_compile",
+                        lambda clause, pivot: compiled.append(pivot) or compile_(clause, pivot))
+    calls = reference._NESTED_CALLS + 4
+    prog = parse_program("q(a,a). q(a,b).\np(X0) :- "
+                         + ", ".join(f"q(X{i},X{i + 1})" for i in range(calls)) + ".\n")
+    for engine in (stratified_reference_semantics, stratified_greedy_semantics):
+        compiled.clear()
+        assert Atom("p", (Symbol("a"),)) in engine(prog, 200).answers
+        assert len(compiled) == 1
